@@ -53,7 +53,6 @@ from .theta import (
     assign_thetas,
     endpoint_normal,
     interior_normal,
-    solve_theta,
     theta_residual,
 )
 

@@ -32,7 +32,7 @@ from .fit import FitConfig, fit_section
 from .mapping import MappingCoefficients, breadth_and_draft, evaluate_boundary, lewis_initial_guess
 from .report import AccuracyReport, build_report, nash_sutcliffe
 from .search import search_optimum
-from .section import SectionOffsets, full_area, load_offsets
+from .section import full_area, load_offsets
 
 DEFAULT_SAMPLES = 256
 
@@ -58,8 +58,9 @@ def _parser() -> argparse.ArgumentParser:
     for mode in ("fit", "search", "evaluate", "lewis"):
         p = sub.add_parser(mode)
         p.add_argument("--input", required=True, type=Path)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--sigma-e", type=float, default=None)
+        if mode == "fit":
+            p.add_argument("--n", type=int, default=None)
+            p.add_argument("--sigma-e", type=float, default=None)
         p.add_argument("--out", type=Path, default=Path("."))
         p.add_argument("--emit", default="json")
         p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
@@ -75,8 +76,8 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     return RunSpec(
         mode=args.mode,
         input_path=args.input,
-        order=args.n,
-        tolerance=args.sigma_e,
+        order=getattr(args, "n", None),
+        tolerance=getattr(args, "sigma_e", None),
         out_dir=args.out,
         emit=emit or ("json",),
         samples=args.samples,
@@ -167,26 +168,23 @@ def _coefficients_payload(coeffs: MappingCoefficients, symmetric: bool) -> dict:
     }
 
 
-def _emit_fitted(spec: RunSpec, stem: str, report: dict, section: SectionOffsets, coeffs, lewis=None):
-    written = []
+def _emit(spec: RunSpec, stem: str, report: dict, contour, label: str, markers=None, lewis=None) -> None:
+    """Write ``report`` as json and, on request, ``contour`` as csv and a plot as svg.
+
+    The plot draws the contour under ``label``, the Lewis seed of a symmetric
+    section when one is given, and the offsets as markers.
+    """
+    theta, x, y = contour
     if "json" in spec.emit:
-        p = spec.out_dir / f"{stem}_{spec.mode}.json"
-        _write_json(p, report)
-        written.append(p)
-    theta, x, y = _sample_contour(coeffs, section.symmetric, spec.samples)
+        _write_json(spec.out_dir / f"{stem}_{spec.mode}.json", report)
     if "csv" in spec.emit:
-        p = spec.out_dir / f"{stem}_contour.csv"
-        _write_csv(p, theta, x, y)
-        written.append(p)
+        _write_csv(spec.out_dir / f"{stem}_contour.csv", theta, x, y)
     if "svg" in spec.emit:
-        curves = [("mapped", np.column_stack([x, y]))]
+        curves = [(label, np.column_stack([x, y]))]
         if lewis is not None:
-            lt, lx, ly = _sample_contour(lewis, section.symmetric, spec.samples)
+            _, lx, ly = _sample_contour(lewis, True, spec.samples)
             curves.append(("lewis", np.column_stack([lx, ly])))
-        p = spec.out_dir / f"{stem}_plot.svg"
-        _write_svg(p, curves, markers=section.points)
-        written.append(p)
-    return written
+        _write_svg(spec.out_dir / f"{stem}_plot.svg", curves, markers=markers)
 
 
 def _load_coefficients(path: Path) -> tuple[MappingCoefficients, bool]:
@@ -211,28 +209,17 @@ def _run(spec: RunSpec) -> int:
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             print(f"parse: {exc}", file=sys.stderr)
             return 3
-        theta, x, y = _sample_contour(coeffs, symmetric, spec.samples)
-        if "json" in spec.emit:
-            payload = _coefficients_payload(coeffs, symmetric)
-            payload["samples"] = spec.samples
-            payload["contour"] = [[float(t), float(a), float(b)] for t, a, b in zip(theta, x, y)]
-            _write_json(spec.out_dir / f"{stem}_evaluate.json", payload)
-        if "csv" in spec.emit:
-            _write_csv(spec.out_dir / f"{stem}_contour.csv", theta, x, y)
-        if "svg" in spec.emit:
-            _write_svg(
-                spec.out_dir / f"{stem}_plot.svg",
-                [("contour", np.column_stack([x, y]))],
-            )
+        contour = _sample_contour(coeffs, symmetric, spec.samples)
+        payload = _coefficients_payload(coeffs, symmetric)
+        payload["samples"] = spec.samples
+        payload["contour"] = [[float(t), float(a), float(b)] for t, a, b in zip(*contour)]
+        _emit(spec, stem, payload, contour, "contour")
         print(f"evaluated N={coeffs.order} at {spec.samples} angles")
         return 0
 
     try:
         section = load_offsets(spec.input_path)
-    except OSError as exc:
-        print(f"parse: {exc}", file=sys.stderr)
-        return 3
-    except (OffsetsParseError, SectionValidationError) as exc:
+    except (OSError, OffsetsParseError, SectionValidationError) as exc:
         print(f"parse: {exc}", file=sys.stderr)
         return 3
 
@@ -242,20 +229,13 @@ def _run(spec: RunSpec) -> int:
     if spec.mode == "lewis":
         payload = _coefficients_payload(lewis.coefficients, section.symmetric)
         payload["area_matched"] = lewis.area_matched
-        if "json" in spec.emit:
-            _write_json(spec.out_dir / f"{stem}_lewis.json", payload)
-        theta, x, y = _sample_contour(lewis.coefficients, section.symmetric, spec.samples)
-        if "csv" in spec.emit:
-            _write_csv(spec.out_dir / f"{stem}_contour.csv", theta, x, y)
-        if "svg" in spec.emit:
-            _write_svg(
-                spec.out_dir / f"{stem}_plot.svg",
-                [("lewis", np.column_stack([x, y]))],
-                markers=section.points,
-            )
+        contour = _sample_contour(lewis.coefficients, section.symmetric, spec.samples)
+        _emit(spec, stem, payload, contour, "lewis", section.points)
         print(f"lewis seed F={lewis.coefficients.scale:.6g} area_matched={lewis.area_matched}")
         return 0
 
+    # Fitted plots of symmetric sections overlay the Lewis seed.
+    overlay = lewis.coefficients if section.symmetric else None
     if spec.mode == "fit":
         if spec.order is None:
             print("usage: fit needs --n", file=sys.stderr)
@@ -272,10 +252,8 @@ def _run(spec: RunSpec) -> int:
         report = build_report(result, accuracy, stem, section.symmetric)
         report["converged"] = result.converged
         report["iterations"] = result.iterations
-        _emit_fitted(
-            spec, stem, report, section, result.coefficients,
-            lewis.coefficients if section.symmetric else None,
-        )
+        contour = _sample_contour(result.coefficients, section.symmetric, spec.samples)
+        _emit(spec, stem, report, contour, "mapped", section.points, overlay)
         state = "converged" if result.converged else "stopped"
         print(f"fit {state}: N={spec.order} E={result.error:.6g} after {result.iterations} sweeps")
         return 0
@@ -295,10 +273,8 @@ def _run(spec: RunSpec) -> int:
     if not spec.timing:
         for row in report["per_N"]:
             row["seconds"] = 0.0
-    _emit_fitted(
-        spec, stem, report, section, best.coefficients,
-        lewis.coefficients if section.symmetric else None,
-    )
+    contour = _sample_contour(best.coefficients, section.symmetric, spec.samples)
+    _emit(spec, stem, report, contour, "mapped", section.points, overlay)
     print(
         f"search optimum: N={outcome.best_order} E={outcome.best_error:.6g} "
         f"({len(outcome.per_order)} accepted orders)"

@@ -47,11 +47,11 @@ class FitResult:
     error: float
     error_history: list[float]
     fa_history: list[np.ndarray]
+    theta_history: list[ThetaAssignment] = field(repr=False)
     iterations: int
     converged: bool
     diverged: bool
     mapped_points: np.ndarray
-    theta_history: list[ThetaAssignment] | None = field(default=None, repr=False)
 
 
 def compute_error(section: SectionOffsets, mapped_points: np.ndarray) -> float:
@@ -102,10 +102,10 @@ def _result_from_state(
     error: float,
     history: list[float],
     fa_history: list[np.ndarray],
+    theta_history: list[ThetaAssignment],
     iterations: int,
     converged: bool,
     diverged: bool,
-    theta_history: list[ThetaAssignment] | None,
 ) -> FitResult:
     return FitResult(
         coefficients=ScaledCoefficients(fa).to_mapping(),
@@ -113,11 +113,11 @@ def _result_from_state(
         error=error,
         error_history=history,
         fa_history=fa_history,
+        theta_history=theta_history,
         iterations=iterations,
         converged=converged,
         diverged=diverged,
         mapped_points=_mapped(fa, thetas),
-        theta_history=theta_history,
     )
 
 
@@ -127,7 +127,6 @@ def _run_fit(
     seed: np.ndarray,
     assemble,
     default_sweeps: int,
-    record_thetas: bool,
 ) -> FitResult:
     budget = config.max_iterations if config.max_iterations is not None else default_sweeps
     if budget < 1:
@@ -136,7 +135,7 @@ def _run_fit(
     prev: ThetaAssignment | None = None
     history: list[float] = []
     fa_history: list[np.ndarray] = []
-    theta_history: list[ThetaAssignment] | None = [] if record_thetas else None
+    theta_history: list[ThetaAssignment] = []
     best: tuple[float, np.ndarray, ThetaAssignment] | None = None
     rising = 0
     iterations = 0
@@ -154,8 +153,7 @@ def _run_fit(
                 error = compute_error(section, _mapped(fa, thetas))
                 history.append(error)
                 fa_history.append(fa.copy())
-                if theta_history is not None:
-                    theta_history.append(thetas)
+                theta_history.append(thetas)
                 best = (error, fa.copy(), thetas)
                 iterations += 1
             break
@@ -163,8 +161,7 @@ def _run_fit(
         error = compute_error(section, _mapped(solved, thetas))
         history.append(error)
         fa_history.append(solved.copy())
-        if theta_history is not None:
-            theta_history.append(thetas)
+        theta_history.append(thetas)
         # A sweep with a nonpositive leading coefficient flips the contour's
         # orientation; it may still recover, but it cannot be reported.
         if solved[0] > 0.0 and (best is None or error < best[0]):
@@ -182,7 +179,7 @@ def _run_fit(
 
     if converged:
         return _result_from_state(
-            fa, prev, history[-1], history, fa_history, iterations, True, False, theta_history
+            fa, prev, history[-1], history, fa_history, theta_history, iterations, True, False
         )
     if best is None:
         # No sweep kept a positive leading coefficient; report the seed state.
@@ -191,36 +188,32 @@ def _run_fit(
         best = (compute_error(section, _mapped(seed, thetas)), seed.copy(), thetas)
     error, fa_best, thetas_best = best
     return _result_from_state(
-        fa_best, thetas_best, error, history, fa_history, iterations, False, diverged, theta_history
+        fa_best, thetas_best, error, history, fa_history, theta_history, iterations, False, diverged
     )
 
 
-def fit_symmetric(section: SectionOffsets, config: FitConfig, record_thetas: bool = False) -> FitResult:
+def fit_symmetric(section: SectionOffsets, config: FitConfig) -> FitResult:
     """Fit a symmetric half-section; breadth and draft are held exactly."""
     if not section.symmetric:
         raise ConfigurationError("fit_symmetric needs a symmetric section")
     if config.order < 2:
         raise ConfigurationError("symmetric fits need order >= 2")
     seed = _seed_symmetric(section, config.order)
-    return _run_fit(
-        section, config, seed, assemble_symmetric, DEFAULT_SWEEPS_SYMMETRIC, record_thetas
-    )
+    return _run_fit(section, config, seed, assemble_symmetric, DEFAULT_SWEEPS_SYMMETRIC)
 
 
-def fit_nonsymmetric(section: SectionOffsets, config: FitConfig, record_thetas: bool = False) -> FitResult:
+def fit_nonsymmetric(section: SectionOffsets, config: FitConfig) -> FitResult:
     """Fit a full section with free waterline endpoints and no exact constraints."""
     if section.symmetric:
         raise ConfigurationError("fit_nonsymmetric needs a non-symmetric section")
     if config.order < 1:
         raise ConfigurationError("fits need order >= 1")
     seed = _seed_asymmetric(section, config.order)
-    return _run_fit(
-        section, config, seed, assemble_general, DEFAULT_SWEEPS_ASYMMETRIC, record_thetas
-    )
+    return _run_fit(section, config, seed, assemble_general, DEFAULT_SWEEPS_ASYMMETRIC)
 
 
-def fit_section(section: SectionOffsets, config: FitConfig, record_thetas: bool = False) -> FitResult:
+def fit_section(section: SectionOffsets, config: FitConfig) -> FitResult:
     """Dispatch on the section's symmetry flag."""
     if section.symmetric:
-        return fit_symmetric(section, config, record_thetas)
-    return fit_nonsymmetric(section, config, record_thetas)
+        return fit_symmetric(section, config)
+    return fit_nonsymmetric(section, config)

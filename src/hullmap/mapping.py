@@ -78,15 +78,28 @@ class ScaledCoefficients:
         return MappingCoefficients(float(self.values[0]), self.values / self.values[0])
 
 
+def _series_terms(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Odd multiples and the signed x and y weights of a scaled coefficient vector.
+
+    The sign of x sits in its weights, so the keel's x stays +0.0.
+    """
+    weights = _alternating(len(values)) * np.asarray(values, dtype=float)
+    return _odd_multiples(len(values)), -weights, weights
+
+
+def _boundary(terms, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The odd-harmonic series at angles of any shape: the package's one trig sum."""
+    odd, wx, wy = terms
+    angles = np.outer(theta, odd)
+    shape = np.shape(theta)
+    return (np.sin(angles) @ wx).reshape(shape), (np.cos(angles) @ wy).reshape(shape)
+
+
 def boundary_from_scaled(values: np.ndarray, theta) -> tuple[np.ndarray, np.ndarray]:
     """Boundary points for a scaled coefficient vector at angles ``theta``."""
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    angles = np.outer(th, _odd_multiples(len(values)))
-    weights = _alternating(len(values)) * np.asarray(values, dtype=float)
-    x = -np.sin(angles) @ weights
-    y = np.cos(angles) @ weights
-    if np.isscalar(theta) or np.ndim(theta) == 0:
-        return float(x[0]), float(y[0])
+    x, y = _boundary(_series_terms(values), np.asarray(theta, dtype=float))
+    if np.ndim(x) == 0:
+        return float(x), float(y)
     return x, y
 
 
@@ -94,16 +107,8 @@ def evaluate_offset_contour(coeffs: MappingCoefficients, theta, beta: float):
     """Mapped contour at radial coordinate ``beta`` (``beta = 0`` is the boundary)."""
     if beta < 0.0:
         raise ValueError("beta must be non-negative")
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    odd = _odd_multiples(len(coeffs.a))
-    decay = np.exp(-odd * beta)
-    angles = np.outer(th, odd)
-    weights = _alternating(len(coeffs.a)) * (coeffs.scale * coeffs.a) * decay
-    x = -np.sin(angles) @ weights
-    y = np.cos(angles) @ weights
-    if np.isscalar(theta) or np.ndim(theta) == 0:
-        return float(x[0]), float(y[0])
-    return x, y
+    decay = np.exp(-_odd_multiples(len(coeffs.a)) * beta)
+    return boundary_from_scaled((coeffs.scale * coeffs.a) * decay, theta)
 
 
 def evaluate_boundary(coeffs: MappingCoefficients, theta):

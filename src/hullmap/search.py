@@ -100,6 +100,7 @@ def _snapshot(result: FitResult, index: int) -> FitResult:
         error=result.error_history[index],
         error_history=result.error_history[: index + 1],
         fa_history=result.fa_history[: index + 1],
+        theta_history=result.theta_history[: index + 1],
         iterations=index + 1,
         converged=True,
         diverged=False,
@@ -131,9 +132,7 @@ def search_optimum(
         started = time.perf_counter()
         # The trajectory may stop at the floor target; if the gate tolerance
         # has tightened below it the run must push that deep to stay decidable.
-        result = fit_section(
-            section, FitConfig(order, min(tolerance, floor_target)), record_thetas=True
-        )
+        result = fit_section(section, FitConfig(order, min(tolerance, floor_target)))
         elapsed = time.perf_counter() - started
         gate = _gate_index(result.error_history, tolerance)
         if gate is None:

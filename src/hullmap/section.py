@@ -70,6 +70,8 @@ def section_extents(points: np.ndarray, symmetric: bool) -> tuple[float, float, 
         raise DegenerateSectionError("draft must be positive")
     if breadth <= 0.0:
         raise DegenerateSectionError("breadth must be positive")
+    if not np.isfinite(breadth):
+        raise DegenerateSectionError("breadth overflows")
     return breadth, draft, left, right
 
 
@@ -78,6 +80,10 @@ def _validate(points: np.ndarray, symmetric: bool) -> None:
         raise SectionValidationError("points must be an (n, 2) array")
     if len(points) < 3:
         raise SectionValidationError("a section needs at least 3 points")
+    finite = np.all(np.isfinite(points), axis=1)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        raise SectionValidationError(f"point {i} has a non-finite coordinate")
     same = np.all(points[1:] == points[:-1], axis=1)
     if np.any(same):
         i = int(np.argmax(same))

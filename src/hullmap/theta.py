@@ -5,7 +5,11 @@ the straight line through the input point along its local inward normal.
 Normals come from secants through neighbouring points, so they depend only on
 the geometry and stay fixed while the coefficients iterate.  The angle
 condition is the scalar root of a residual that is linear in the scaled
-coefficients; roots are bracketed by a uniform scan and polished by bisection.
+coefficients.  `_batch_roots` is the one solver: it brackets every point's
+root by a uniform scan and polishes all of them by bisection in lockstep.
+The residual evaluates the boundary through `mapping._boundary`, the
+package's one evaluation of the odd-harmonic series, with the series terms
+built once per sweep.
 
 A point whose residual never changes sign inside its bracket keeps moving by
 linear extrapolation from its two predecessors and is reported as unresolved.
@@ -19,7 +23,7 @@ from math import hypot, pi
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateNormalError, FitAbortError
-from .mapping import ScaledCoefficients, _alternating, _odd_multiples, boundary_from_scaled
+from .mapping import ScaledCoefficients, _boundary, _series_terms, boundary_from_scaled
 from .section import SectionOffsets
 
 THETA_TOL = 1e-12
@@ -92,10 +96,14 @@ def section_normals(section: SectionOffsets) -> list:
     return normals
 
 
-def _trig_parts(values: np.ndarray, theta_flat: np.ndarray):
-    angles = np.outer(theta_flat, _odd_multiples(len(values)))
-    weights = _alternating(len(values)) * values
-    return np.sin(angles) @ weights, np.cos(angles) @ weights
+def _residual(terms, x, y, cos_phi, sin_phi, theta):
+    """Projection residual of points (x, y) with normals (cos_phi, sin_phi) at ``theta``.
+
+    The arguments broadcast against each other; ``theta`` fixes the shape of
+    the series evaluation.
+    """
+    bx, by = _boundary(terms, theta)
+    return x * cos_phi - cos_phi * bx - y * sin_phi + sin_phi * by
 
 
 def theta_residual(scaled: ScaledCoefficients, point, normal: NormalDirection, theta):
@@ -104,62 +112,10 @@ def theta_residual(scaled: ScaledCoefficients, point, normal: NormalDirection, t
     Zero means the mapped point at ``theta`` lies on the normal line through
     the input point.  Accepts a scalar angle or an array of angles.
     """
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    sin_part, cos_part = _trig_parts(scaled.values, th)
+    th = np.asarray(theta, dtype=float)
     x, y = float(point[0]), float(point[1])
-    res = (
-        x * normal.cos_phi
-        + normal.cos_phi * sin_part
-        - y * normal.sin_phi
-        + normal.sin_phi * cos_part
-    )
-    if np.isscalar(theta) or np.ndim(theta) == 0:
-        return float(res[0])
-    return res
-
-
-def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> tuple[float, int]:
-    steps = 0
-    while hi - lo > tol and steps < MAX_BISECTIONS:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        steps += 1
-        if f_mid == 0.0:
-            return mid, steps
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi), steps
-
-
-def solve_theta(
-    scaled: ScaledCoefficients,
-    point,
-    normal: NormalDirection,
-    bracket: tuple[float, float],
-    tol: float = THETA_TOL,
-    prefer: float | None = None,
-):
-    """Root of the projection residual inside ``bracket``, or None.
-
-    The residual is sampled at `SCAN_SAMPLES` uniform angles; among the
-    sign-change subintervals the one whose midpoint lies nearest ``prefer``
-    (default: the bracket midpoint) is refined by bisection.
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        return None
-    samples = np.linspace(lo, hi, SCAN_SAMPLES)
-    res = theta_residual(scaled, point, normal, samples)
-    picked = _pick_subinterval(samples, res, 0.5 * (lo + hi) if prefer is None else prefer)
-    if picked is None:
-        return None
-    a, b, f_a = picked
-    if a == b:
-        return a
-    root, _ = _bisect(lambda t: theta_residual(scaled, point, normal, t), a, b, f_a, tol)
-    return root
+    res = _residual(_series_terms(scaled.values), x, y, normal.cos_phi, normal.sin_phi, th)
+    return float(res) if th.ndim == 0 else res
 
 
 def _pick_subinterval(samples: np.ndarray, res: np.ndarray, prefer: float):
@@ -191,12 +147,12 @@ def _batch_roots(
     prefer: np.ndarray,
     tol: float = THETA_TOL,
 ) -> list:
-    """Roots for many points in one sweep, sharing the trig evaluations.
+    """Roots of the projection residual for points ``indices``, or None each.
 
-    Same procedure as per-point `solve_theta` calls: uniform scan of each
-    bracket, nearest-candidate pick, bisection in lockstep across points.
-    Batched trig sums may round differently in the last bit, so agreement
-    with the scalar path is to the bisection tolerance, not bitwise.
+    Each point's bracket ``[lo, hi]`` is scanned at `SCAN_SAMPLES` uniform
+    angles.  Among the sign changes and exact zeros, the candidate nearest
+    ``prefer`` is kept and refined by bisection, in lockstep across points.
+    An empty bracket or a scan without a candidate gives None.
     """
     roots: list[float | None] = [None] * len(indices)
     usable = [k for k in range(len(indices)) if lo[k] < hi[k]]
@@ -208,14 +164,8 @@ def _batch_roots(
     yv = points[[indices[k] for k in usable], 1][:, None]
     cv = np.array([normals[indices[k]].cos_phi for k in usable])[:, None]
     sv = np.array([normals[indices[k]].sin_phi for k in usable])[:, None]
-    sin_part, cos_part = _trig_parts(scaled.values, grid.ravel())
-    shape = grid.shape
-    res = (
-        xv * cv
-        + cv * sin_part.reshape(shape)
-        - yv * sv
-        + sv * cos_part.reshape(shape)
-    )
+    terms = _series_terms(scaled.values)
+    res = _residual(terms, xv, yv, cv, sv, grid)
 
     job_rows: list[int] = []
     job_lo: list[float] = []
@@ -250,9 +200,7 @@ def _batch_roots(
         if active.size == 0:
             break
         mid = 0.5 * (b_lo[active] + b_hi[active])
-        sin_part, cos_part = _trig_parts(scaled.values, mid)
-        f_mid = xj[active] * cj[active] + cj[active] * sin_part \
-            - yj[active] * sj[active] + sj[active] * cos_part
+        f_mid = _residual(terms, xj[active], yj[active], cj[active], sj[active], mid)
         hit = f_mid == 0.0
         b_root[active[hit]] = mid[hit]
         live = active[~hit]

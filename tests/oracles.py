@@ -72,3 +72,40 @@ def projection_residual(scale_a: np.ndarray, point, cos_phi: float, sin_phi: flo
     """Normal-line residual built from the boundary point, not the expanded sums."""
     x0, y0 = series_point(1.0, scale_a, theta)
     return (point[0] - x0) * cos_phi - (point[1] - y0) * sin_phi
+
+
+def scan_and_bisect_root(scale_a, point, cos_phi, sin_phi, lo, hi, prefer, samples=64, tol=1e-12):
+    """Root of the projection residual in ``[lo, hi]`` nearest ``prefer``, or None.
+
+    The residual is sampled at ``samples`` uniform angles.  Every exact zero
+    and every sign change between neighbouring samples is a candidate, placed
+    at its sample or at its interval midpoint; the candidate nearest
+    ``prefer`` is bisected down to ``tol``, one angle at a time.
+    """
+    if not lo < hi:
+        return None
+
+    def f(t):
+        return projection_residual(scale_a, point, cos_phi, sin_phi, t)
+
+    grid = [float(t) for t in np.linspace(lo, hi, samples)]
+    values = [f(t) for t in grid]
+    candidates = [(abs(t - prefer), t, t, 0.0) for t, v in zip(grid, values) if v == 0.0]
+    for k in range(samples - 1):
+        left, right = values[k], values[k + 1]
+        if left != 0.0 and right != 0.0 and (left < 0.0) != (right < 0.0):
+            a, b = grid[k], grid[k + 1]
+            candidates.append((abs(0.5 * (a + b) - prefer), a, b, left))
+    if not candidates:
+        return None
+    _, a, b, f_a = min(candidates, key=lambda c: c[0])
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_a < 0.0) != (f_mid < 0.0):
+            b = mid
+        else:
+            a, f_a = mid, f_mid
+    return 0.5 * (a + b)

@@ -81,6 +81,25 @@ def test_missing_file_exits_three(tmp_path):
     assert run("fit", "--input", tmp_path / "absent.txt", "--n", "5", "--out", tmp_path) == 3
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["symmetric\n0,1\nnan,0.5\n1,0\n", "asymmetric\n-1,0\nnan,1\n1,0\n"],
+)
+@pytest.mark.parametrize("mode", ["fit", "lewis"])
+def test_non_finite_offsets_exit_three(tmp_path, capsys, text, mode):
+    bad = tmp_path / "nan.txt"
+    bad.write_text(text)
+    extra = ["--n", "5"] if mode == "fit" else []
+    assert run(mode, "--input", bad, *extra, "--out", tmp_path) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["search", "lewis"])
+@pytest.mark.parametrize("flag", [["--n", "5"], ["--sigma-e", "0.1"]])
+def test_fit_flags_belong_to_fit_only(rect_file, tmp_path, mode, flag):
+    assert run(mode, "--input", rect_file, *flag, "--out", tmp_path) == 2
+
+
 def test_lewis_mode_reports_the_seed(ellipse_file, tmp_path):
     out = tmp_path / "out"
     assert run("lewis", "--input", ellipse_file, "--out", out, "--emit", "json,svg") == 0
@@ -151,8 +170,8 @@ def test_search_failure_exits_five(rect_file, tmp_path, monkeypatch, capsys):
 def test_diverged_fit_exits_four(rect_file, tmp_path, monkeypatch, capsys):
     real = cli_mod.fit_section
 
-    def diverge(section, config, record_thetas=False):
-        result = real(section, config, record_thetas)
+    def diverge(section, config):
+        result = real(section, config)
         result.diverged = True
         return result
 

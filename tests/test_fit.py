@@ -92,11 +92,7 @@ def test_histories_align_with_iterations(rectangle41):
     res = fit_symmetric(rectangle41, FitConfig(order=6, tolerance=1e-3))
     assert len(res.error_history) == res.iterations
     assert len(res.fa_history) == res.iterations
-    assert res.theta_history is None
-    recorded = fit_symmetric(
-        rectangle41, FitConfig(order=6, tolerance=1e-3), record_thetas=True
-    )
-    assert len(recorded.theta_history) == recorded.iterations
+    assert len(res.theta_history) == res.iterations
 
 
 def test_nonconverged_fit_reports_its_best_state():

@@ -1,4 +1,4 @@
-from math import log, pi
+from math import copysign, log, pi
 
 import numpy as np
 import pytest
@@ -122,6 +122,20 @@ def test_breadth_and_draft_match_boundary_extremes():
     _, y_keel = evaluate_boundary(coeffs, 0.0)
     assert breadth == pytest.approx(2.0 * x_wl, abs=1e-14)
     assert draft == pytest.approx(y_keel, abs=1e-14)
+
+
+def test_keel_x_is_positive_zero():
+    # The x sign lives in the series weights; negating the sum instead
+    # would print the keel as -0.0 in reports.
+    values = np.array([1.2, 0.3, -0.1])
+    coeffs = ScaledCoefficients(values).to_mapping()
+    for x in (
+        boundary_from_scaled(values, 0.0)[0],
+        boundary_from_scaled(values, np.array([0.0]))[0][0],
+        evaluate_boundary(coeffs, 0.0)[0],
+        evaluate_boundary(coeffs, np.array([0.0, 0.5]))[0][0],
+    ):
+        assert copysign(1.0, x) == 1.0
 
 
 def test_boundary_scalar_and_array_forms_agree():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hullmap.errors import (
     DegenerateSectionError,
+    HullmapError,
     OffsetsParseError,
     SectionValidationError,
 )
@@ -103,6 +104,61 @@ def test_asymmetric_validation_failures(points, message):
 def test_degenerate_flat_section_rejected():
     with pytest.raises(DegenerateSectionError, match="draft"):
         section_extents(np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), symmetric=False)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "symmetric\n0,nan\n0.5,0.5\n1,0\n",
+        "symmetric\n0,1\n0.5,inf\n1,0\n",
+        "asymmetric\n-1,0\nnan,1\n1,0\n",
+        # 1e400 overflows to inf when parsed.
+        "asymmetric\n-1,0\n0,1e400\n1,0\n",
+    ],
+)
+def test_parse_rejects_non_finite_coordinates(text):
+    with pytest.raises(SectionValidationError, match="non-finite"):
+        parse_offsets(text)
+
+
+def test_overflowing_breadth_rejected():
+    with pytest.raises(DegenerateSectionError, match="breadth"):
+        from_points([(0.0, 1.0), (0.5e308, 0.5), (1e308, 0.0)], symmetric=True)
+
+
+_BASE_ROWS = {
+    "symmetric": [(0.0, 1.0), (0.8, 0.9), (1.0, 0.5), (1.0, 0.0)],
+    "asymmetric": [(-1.0, 0.0), (-0.7, 0.8), (0.1, 1.1), (0.8, 0.7), (1.1, 0.0)],
+}
+_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "Infinity", "1e400", "-1e400", "1_0", "0x1", " "]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def offsets_texts(draw):
+    """A valid offsets text with some coordinates and lines replaced by junk."""
+    header = draw(st.sampled_from(["symmetric", "asymmetric"]))
+    rows = [[repr(x), repr(y)] for x, y in _BASE_ROWS[header]]
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 1))] = draw(_TOKENS)
+    lines = [header] + [",".join(row) for row in rows]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=20)))
+    return "\n".join(lines)
+
+
+@given(offsets_texts())
+def test_any_text_parses_to_finite_geometry_or_raises(text):
+    try:
+        sec = parse_offsets(text)
+    except HullmapError:
+        return
+    assert np.all(np.isfinite(sec.points))
+    for extent in (sec.breadth, sec.draft, sec.half_breadth_left, sec.half_breadth_right):
+        assert np.isfinite(extent) and extent > 0.0
 
 
 @st.composite

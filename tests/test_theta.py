@@ -18,11 +18,10 @@ from hullmap.theta import (
     endpoint_normal,
     interior_normal,
     section_normals,
-    solve_theta,
     theta_residual,
 )
 
-from oracles import projection_residual
+from oracles import projection_residual, scan_and_bisect_root
 
 CIRCLE = ScaledCoefficients(np.array([1.0, 0.0]))
 
@@ -114,36 +113,59 @@ def test_residual_equals_projection_onto_the_normal_line(values, px, py, phi, th
     assert got == pytest.approx(want, abs=1e-12)
 
 
+VERTICAL = NormalDirection(1.0, 0.0)
+
+# One case per row: point, bracket, hint (None: the bracket midpoint).
+BATCH_CASES = (
+    ((sin(0.7), 0.123), (0.0, pi / 2.0), None),
+    ((5.0, 0.0), (0.0, pi / 2.0), None),
+    ((0.5, 0.5), (1.0, 1.0), None),
+    # sin(theta) = 0.5 has roots pi/6 and 5 pi/6 inside the wide bracket.
+    ((0.5, 0.0), (0.0, pi), 0.3),
+    ((0.5, 0.0), (0.0, pi), 2.8),
+    # At theta = 0 the residual vanishes exactly for a point on the centreline.
+    ((0.0, 0.4), (0.0, pi / 2.0), 0.0),
+)
+
+
+def _circle_roots(cases):
+    """Batched roots on the unit circle, every point against a vertical normal."""
+    pts = np.array([point for point, _, _ in cases], dtype=float)
+    lo = np.array([bracket[0] for _, bracket, _ in cases])
+    hi = np.array([bracket[1] for _, bracket, _ in cases])
+    prefer = np.array(
+        [0.5 * (b[0] + b[1]) if hint is None else hint for _, b, hint in cases]
+    )
+    return _batch_roots(CIRCLE, pts, [VERTICAL] * len(cases), list(range(len(cases))), lo, hi, prefer)
+
+
 def test_solve_theta_on_the_circle():
-    point = (sin(0.7), 0.123)
-    root = solve_theta(CIRCLE, point, NormalDirection(1.0, 0.0), (0.0, pi / 2.0))
+    (root,) = _circle_roots(BATCH_CASES[0:1])
     assert root == pytest.approx(0.7, abs=1e-11)
 
 
 def test_solve_theta_without_sign_change_returns_none():
-    root = solve_theta(CIRCLE, (5.0, 0.0), NormalDirection(1.0, 0.0), (0.0, pi / 2.0))
-    assert root is None
+    assert _circle_roots(BATCH_CASES[1:2]) == [None]
 
 
 def test_solve_theta_rejects_empty_bracket():
-    assert solve_theta(CIRCLE, (0.5, 0.5), NormalDirection(1.0, 0.0), (1.0, 1.0)) is None
+    assert _circle_roots(BATCH_CASES[2:3]) == [None]
 
 
 def test_solve_theta_prefers_the_candidate_nearest_the_hint():
-    # sin(theta) = 0.5 has roots pi/6 and 5 pi/6 inside the wide bracket.
-    point = (0.5, 0.0)
-    normal = NormalDirection(1.0, 0.0)
-    bracket = (0.0, pi)
-    low = solve_theta(CIRCLE, point, normal, bracket, prefer=0.3)
-    high = solve_theta(CIRCLE, point, normal, bracket, prefer=2.8)
+    low, high = _circle_roots(BATCH_CASES[3:5])
     assert low == pytest.approx(asin(0.5), abs=1e-11)
     assert high == pytest.approx(pi - asin(0.5), abs=1e-11)
 
 
 def test_solve_theta_returns_exact_grid_zeros():
-    # At theta = 0 the residual vanishes exactly for a point on the centreline.
-    root = solve_theta(CIRCLE, (0.0, 0.4), NormalDirection(1.0, 0.0), (0.0, pi / 2.0), prefer=0.0)
-    assert root == 0.0
+    assert _circle_roots(BATCH_CASES[5:6]) == [0.0]
+
+
+def test_solve_theta_batches_each_case_as_if_alone():
+    together = _circle_roots(BATCH_CASES)
+    alone = [_circle_roots([case])[0] for case in BATCH_CASES]
+    assert together == alone
 
 
 @given(
@@ -173,11 +195,19 @@ def test_batch_roots_match_scalar_roots(values, count, data):
     prefer = 0.5 * (lo + hi)
     batch = _batch_roots(scaled, pts, normals, list(range(count)), lo, hi, prefer)
     for i in range(count):
-        scalar = solve_theta(scaled, pts[i], normals[i], (lo[i], hi[i]), prefer=prefer[i])
-        if scalar is None:
-            assert batch[i] is None
-        else:
-            assert batch[i] == pytest.approx(scalar, abs=1e-10)
+        c, s = normals[i].cos_phi, normals[i].sin_phi
+        scalar = scan_and_bisect_root(values, pts[i], c, s, lo[i], hi[i], prefer[i])
+        got = batch[i]
+        if got == scalar or (None not in (got, scalar) and abs(got - scalar) <= 1e-10):
+            continue
+        # The library and the oracle round the residual differently, so they
+        # may disagree only where a scan sample's residual is zero to rounding,
+        # and the library's answer must then still be a root in the bracket.
+        samples = np.linspace(lo[i], hi[i], theta_mod.SCAN_SAMPLES)
+        assert min(abs(projection_residual(values, pts[i], c, s, t)) for t in samples) < 1e-12
+        if got is not None:
+            assert lo[i] <= got <= hi[i]
+            assert abs(projection_residual(values, pts[i], c, s, got)) < 1e-9
 
 
 def test_assign_thetas_pins_symmetric_endpoints(circle41):
