@@ -1,0 +1,79 @@
+"""Print one SHA-256 digest over the full trajectories of a fixed set of fits.
+
+Usage: PYTHONPATH=src python scripts/trajectory_digest.py [--verbose]
+
+The fits are the four gallery shapes (rectangle, bulb, fine, chine; 41
+points each), circle41 and heeled_rectangle(21, 15 deg), each at N = 5, 8
+and 12 to tolerance 1e-8 * scale^2.  The digest covers the raw bytes of
+every fit's error_history, fa_history, each sweep's angles and unresolved
+set, and mapped_points.  A fit that raises contributes its exception type
+and message instead.
+
+hullmap is imported from whatever tree is on PYTHONPATH, so running the
+script against two checkouts shows whether a change keeps every trajectory
+bit-identical.  The digest depends on the numpy and BLAS build, so compare
+two trees on one machine; it is not a value to pin in a test.
+"""
+
+import argparse
+import hashlib
+
+import numpy as np
+
+import hullmap
+from hullmap.errors import HullmapError
+from hullmap.fit import FitConfig, fit_section
+from hullmap.shapes import (
+    bulb_section,
+    chine_section,
+    circle_section,
+    fine_section,
+    heeled_rectangle,
+    rectangle_section,
+)
+
+SECTIONS = {
+    "rectangle41": lambda: rectangle_section(41, breadth=2.0, draft=1.0),
+    "bulb41": lambda: bulb_section(41),
+    "fine41": lambda: fine_section(41),
+    "chine41": lambda: chine_section(41),
+    "circle41": lambda: circle_section(41),
+    "heeled_rectangle21": lambda: heeled_rectangle(21, heel_deg=15.0),
+}
+ORDERS = (5, 8, 12)
+
+
+def _fit_bytes(section, order: int) -> bytes:
+    scale = max(section.breadth, section.draft)
+    try:
+        result = fit_section(section, FitConfig(order, 1e-8 * scale * scale))
+    except HullmapError as exc:
+        return f"{type(exc).__name__}: {exc}".encode()
+    parts = [np.asarray(result.error_history, dtype=float).tobytes()]
+    parts.extend(np.asarray(fa, dtype=float).tobytes() for fa in result.fa_history)
+    for sweep in result.theta_history:
+        parts.append(sweep.theta.tobytes())
+        parts.append(np.array(sorted(sweep.unresolved), dtype=np.int64).tobytes())
+    parts.append(np.asarray(result.mapped_points, dtype=float).tobytes())
+    return b"".join(parts)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--verbose", action="store_true", help="also print one digest per fit")
+    args = parser.parse_args()
+    total = hashlib.sha256()
+    for name, build in SECTIONS.items():
+        section = build()
+        for order in ORDERS:
+            blob = _fit_bytes(section, order)
+            total.update(blob)
+            if args.verbose:
+                print(f"{name} N={order}: {hashlib.sha256(blob).hexdigest()}")
+    if args.verbose:
+        print(f"hullmap from {hullmap.__file__}")
+    print(total.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

@@ -73,6 +73,8 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     bad = [e for e in emit if e not in ("json", "csv", "svg")]
     if bad:
         raise ValueError(f"unknown emit format(s): {', '.join(bad)}")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     return RunSpec(
         mode=args.mode,
         input_path=args.input,

@@ -18,7 +18,7 @@ again once a fit has settled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import inf, pi, sqrt
 
 import numpy as np
 
@@ -46,10 +46,12 @@ class MappingCoefficients:
         object.__setattr__(self, "a", arr)
         if arr.ndim != 1 or len(arr) < 1:
             raise ValueError("a must be a 1-d array with at least one entry")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("coefficients must be finite")
         if arr[0] != 1.0:
             raise ValueError("leading coefficient must be exactly +1")
-        if not self.scale > 0.0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < self.scale < inf:
+            raise ValueError("scale must be positive and finite")
 
     @property
     def order(self) -> int:
@@ -90,7 +92,7 @@ def _series_terms(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _boundary(terms, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The odd-harmonic series at angles of any shape: the package's one trig sum."""
     odd, wx, wy = terms
-    angles = np.outer(theta, odd)
+    angles = np.reshape(theta, (-1, 1)) * odd
     shape = np.shape(theta)
     return (np.sin(angles) @ wx).reshape(shape), (np.cos(angles) @ wy).reshape(shape)
 

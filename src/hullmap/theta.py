@@ -6,10 +6,18 @@ Normals come from secants through neighbouring points, so they depend only on
 the geometry and stay fixed while the coefficients iterate.  The angle
 condition is the scalar root of a residual that is linear in the scaled
 coefficients.  `_batch_roots` is the one solver: it brackets every point's
-root by a uniform scan and polishes all of them by bisection in lockstep.
-The residual evaluates the boundary through `mapping._boundary`, the
-package's one evaluation of the odd-harmonic series, with the series terms
-built once per sweep.
+root by a uniform scan, picks each point's candidate with one vectorised
+argmin over the whole scan, and polishes all of them by bisection in
+lockstep.  The residual evaluates the boundary through `mapping._boundary`,
+the package's one evaluation of the odd-harmonic series, with the series
+terms built once per sweep.
+
+Which rows share each residual call is part of the numerical result: the
+series ends in a matrix-vector product whose rounding of a row can depend
+on how many rows the call holds.  So the bisection calls the residual on
+exactly the brackets still open, in point order, and nothing else.  A change
+that regroups, pads or speculatively evaluates rows can move roots by an
+ulp, and through them every later sweep.
 
 A point whose residual never changes sign inside its bracket keeps moving by
 linear extrapolation from its two predecessors and is reported as unresolved.
@@ -55,11 +63,17 @@ class ThetaAssignment:
         object.__setattr__(self, "unresolved", frozenset(self.unresolved))
 
 
-def _normal_from_secant(dx: float, dy: float) -> NormalDirection:
-    length = hypot(dx, dy)
-    if length == 0.0:
+def _unit_normals(secants: np.ndarray) -> np.ndarray:
+    """Unit normals (cos_phi, sin_phi) = (dx, -dy) / |(dx, dy)|, one per secant row."""
+    length = np.array([hypot(dx, dy) for dx, dy in secants.tolist()])
+    if np.any(length == 0.0):
         raise DegenerateNormalError("zero-length secant between neighbouring points")
-    return NormalDirection(dx / length, -dy / length)
+    return np.column_stack([secants[:, 0], -secants[:, 1]]) / length[:, None]
+
+
+def _normal_from_secant(dx: float, dy: float) -> NormalDirection:
+    cos_phi, sin_phi = _unit_normals(np.array([[dx, dy]], dtype=float))[0].tolist()
+    return NormalDirection(cos_phi, sin_phi)
 
 
 def interior_normal(points: np.ndarray, i: int) -> NormalDirection:
@@ -84,26 +98,36 @@ def endpoint_normal(points: np.ndarray, end: str) -> NormalDirection:
     return _normal_from_secant(dx, dy)
 
 
+def _free_normals(section: SectionOffsets) -> np.ndarray:
+    """(cos_phi, sin_phi) rows for the points whose angle is solved, in point order.
+
+    Interior points take the secant through their neighbours.  A non-symmetric
+    section's endpoints take the one-sided secant; a symmetric section's
+    endpoints are pinned and have no row.
+    """
+    pts = section.points
+    secants = pts[2:] - pts[:-2]
+    if not section.symmetric:
+        secants = np.vstack([pts[1] - pts[0], secants, pts[-1] - pts[-2]])
+    return _unit_normals(secants)
+
+
 def section_normals(section: SectionOffsets) -> list:
     """Normals for every point; symmetric endpoints are pinned and get None."""
-    pts = section.points
-    normals: list = [None] * len(pts)
-    for i in range(1, len(pts) - 1):
-        normals[i] = interior_normal(pts, i)
-    if not section.symmetric:
-        normals[0] = endpoint_normal(pts, "first")
-        normals[-1] = endpoint_normal(pts, "last")
-    return normals
+    normals = [NormalDirection(c, s) for c, s in _free_normals(section).tolist()]
+    return [None, *normals, None] if section.symmetric else normals
 
 
-def _residual(terms, x, y, cos_phi, sin_phi, theta):
-    """Projection residual of points (x, y) with normals (cos_phi, sin_phi) at ``theta``.
+def _residual(terms, xc, ys, cos_phi, sin_phi, theta):
+    """Projection residual at ``theta`` of points with normals (cos_phi, sin_phi).
 
-    The arguments broadcast against each other; ``theta`` fixes the shape of
-    the series evaluation.
+    ``xc`` and ``ys`` are the points' x*cos_phi and y*sin_phi.  The arguments
+    broadcast against each other; ``theta`` fixes the shape of the series
+    evaluation.  The operation order, x*c - c*bx - y*s + s*by, is part of the
+    result's bits.
     """
     bx, by = _boundary(terms, theta)
-    return x * cos_phi - cos_phi * bx - y * sin_phi + sin_phi * by
+    return ((xc - cos_phi * bx) - ys) + sin_phi * by
 
 
 def theta_residual(scaled: ScaledCoefficients, point, normal: NormalDirection, theta):
@@ -114,106 +138,90 @@ def theta_residual(scaled: ScaledCoefficients, point, normal: NormalDirection, t
     """
     th = np.asarray(theta, dtype=float)
     x, y = float(point[0]), float(point[1])
-    res = _residual(_series_terms(scaled.values), x, y, normal.cos_phi, normal.sin_phi, th)
+    c, s = normal.cos_phi, normal.sin_phi
+    res = _residual(_series_terms(scaled.values), x * c, y * s, c, s, th)
     return float(res) if th.ndim == 0 else res
-
-
-def _pick_subinterval(samples: np.ndarray, res: np.ndarray, prefer: float):
-    """Scan-sample candidate nearest ``prefer``: (a, b, f_a), or None without one.
-
-    Exact zeros collapse to a degenerate candidate with a == b.
-    """
-    candidates: list[tuple[float, float, float, float]] = []
-    for k in np.flatnonzero(res == 0.0):
-        t = float(samples[k])
-        candidates.append((t, t, t, 0.0))
-    flips = np.flatnonzero(np.sign(res[:-1]) * np.sign(res[1:]) < 0.0)
-    for k in flips:
-        a, b = float(samples[k]), float(samples[k + 1])
-        candidates.append((0.5 * (a + b), a, b, float(res[k])))
-    if not candidates:
-        return None
-    _, a, b, f_a = min(candidates, key=lambda c: abs(c[0] - prefer))
-    return a, b, f_a
 
 
 def _batch_roots(
     scaled: ScaledCoefficients,
     points: np.ndarray,
-    normals: list,
-    indices: list,
+    normals: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     prefer: np.ndarray,
     tol: float = THETA_TOL,
 ) -> list:
-    """Roots of the projection residual for points ``indices``, or None each.
+    """Roots of the projection residual, one per row of ``points``, or None each.
 
-    Each point's bracket ``[lo, hi]`` is scanned at `SCAN_SAMPLES` uniform
-    angles.  Among the sign changes and exact zeros, the candidate nearest
-    ``prefer`` is kept and refined by bisection, in lockstep across points.
-    An empty bracket or a scan without a candidate gives None.
+    Row k solves point ``points[k]`` against the unit normal ``normals[k]`` =
+    (cos_phi, sin_phi) in the bracket ``[lo[k], hi[k]]``.  The bracket is
+    scanned at `SCAN_SAMPLES` uniform angles.  Every exact zero (placed at its
+    sample) and every sign change (placed at its interval's midpoint) is a
+    candidate; the one nearest ``prefer[k]`` is kept, zeros before sign
+    changes and the lower sample first on a tie.  Kept sign changes are
+    refined by bisection in lockstep across rows.  An empty bracket or a scan
+    without a candidate gives None.
     """
-    roots: list[float | None] = [None] * len(indices)
-    usable = [k for k in range(len(indices)) if lo[k] < hi[k]]
-    if not usable:
+    roots: list[float | None] = [None] * len(points)
+    usable = np.flatnonzero(lo < hi)
+    if not usable.size:
         return roots
-    lo_u, hi_u = lo[usable], hi[usable]
-    grid = np.linspace(lo_u, hi_u, SCAN_SAMPLES, axis=-1)
-    xv = points[[indices[k] for k in usable], 0][:, None]
-    yv = points[[indices[k] for k in usable], 1][:, None]
-    cv = np.array([normals[indices[k]].cos_phi for k in usable])[:, None]
-    sv = np.array([normals[indices[k]].sin_phi for k in usable])[:, None]
+    c, s = normals[usable, 0], normals[usable, 1]
+    xc, ys = points[usable, 0] * c, points[usable, 1] * s
+    grid = np.linspace(lo[usable], hi[usable], SCAN_SAMPLES, axis=-1)
     terms = _series_terms(scaled.values)
-    res = _residual(terms, xv, yv, cv, sv, grid)
+    res = _residual(terms, xc[:, None], ys[:, None], c[:, None], s[:, None], grid)
 
-    job_rows: list[int] = []
-    job_lo: list[float] = []
-    job_hi: list[float] = []
-    job_flo: list[float] = []
-    for row, k in enumerate(usable):
-        picked = _pick_subinterval(grid[row], res[row], float(prefer[k]))
-        if picked is None:
-            continue
-        a, b, f_a = picked
-        if a == b:
-            roots[k] = a
-            continue
-        job_rows.append(row)
-        job_lo.append(a)
-        job_hi.append(b)
-        job_flo.append(f_a)
-    if not job_rows:
-        return roots
+    # One distance per sample for the zeros, then one per interval for the
+    # sign changes, inf where there is no candidate: argmin returns the first
+    # nearest candidate in that order.
+    zero = res == 0.0
+    flip = np.sign(res[:, :-1]) * np.sign(res[:, 1:]) < 0.0
+    hint = prefer[usable, None]
+    keys = np.concatenate(
+        [
+            np.where(zero, np.abs(grid - hint), np.inf),
+            np.where(flip, np.abs(0.5 * (grid[:, :-1] + grid[:, 1:]) - hint), np.inf),
+        ],
+        axis=1,
+    )
+    pick = keys.argmin(axis=1)
+    found = zero.any(axis=1) | flip.any(axis=1)
+    # The picked zero, or the left end of the picked sign change.
+    left = pick % SCAN_SAMPLES
+    out = grid[np.arange(usable.size), left]
 
-    b_lo = np.array(job_lo)
-    b_hi = np.array(job_hi)
-    b_flo = np.array(job_flo)
-    b_root = np.full(len(job_rows), np.nan)
-    xj = xv[job_rows, 0]
-    yj = yv[job_rows, 0]
-    cj = cv[job_rows, 0]
-    sj = sv[job_rows, 0]
-    active = np.arange(len(job_rows))
+    jobs = np.flatnonzero(found & (pick >= SCAN_SAMPLES))
+    k = left[jobs]
+    b_lo, b_hi = grid[jobs, k], grid[jobs, k + 1]
+    lo_neg = res[jobs, k] < 0.0
+    xc, ys, c, s = xc[jobs], ys[jobs], c[jobs], s[jobs]
+    # Each residual call holds exactly the brackets still open, in row order
+    # (see the module docstring for why the grouping matters).
     for _ in range(MAX_BISECTIONS):
-        active = active[(b_hi[active] - b_lo[active]) > tol]
-        if active.size == 0:
+        still_open = (b_hi - b_lo) > tol
+        if np.count_nonzero(still_open) < jobs.size:
+            closed = ~still_open
+            out[jobs[closed]] = 0.5 * (b_lo[closed] + b_hi[closed])
+            jobs, b_lo, b_hi, lo_neg, xc, ys, c, s = (
+                v[still_open] for v in (jobs, b_lo, b_hi, lo_neg, xc, ys, c, s)
+            )
+        if not jobs.size:
             break
-        mid = 0.5 * (b_lo[active] + b_hi[active])
-        f_mid = _residual(terms, xj[active], yj[active], cj[active], sj[active], mid)
-        hit = f_mid == 0.0
-        b_root[active[hit]] = mid[hit]
-        live = active[~hit]
-        mid, f_mid = mid[~hit], f_mid[~hit]
-        shrink_hi = (b_flo[live] < 0.0) != (f_mid < 0.0)
-        b_hi[live[shrink_hi]] = mid[shrink_hi]
-        b_lo[live[~shrink_hi]] = mid[~shrink_hi]
-        b_flo[live[~shrink_hi]] = f_mid[~shrink_hi]
-        active = live
-    open_jobs = np.isnan(b_root)
-    b_root[open_jobs] = 0.5 * (b_lo[open_jobs] + b_hi[open_jobs])
-    for slot, row in enumerate(job_rows):
-        roots[usable[row]] = float(b_root[slot])
+        mid = 0.5 * (b_lo + b_hi)
+        f_mid = _residual(terms, xc, ys, c, s, mid)
+        shrink_hi = lo_neg != (f_mid < 0.0)
+        b_lo = np.where(shrink_hi, b_lo, mid)
+        b_hi = np.where(shrink_hi, mid, b_hi)
+        if np.count_nonzero(f_mid) < jobs.size:
+            # An exact zero collapses the bracket onto mid, which the next
+            # width check closes with 0.5 * (mid + mid) == mid.
+            hit = f_mid == 0.0
+            b_lo[hit] = b_hi[hit] = mid[hit]
+    out[jobs] = 0.5 * (b_lo + b_hi)
+    for k, root in zip(usable[found].tolist(), out[found].tolist()):
+        roots[k] = root
     return roots
 
 
@@ -264,28 +272,18 @@ def assign_thetas(
     else:
         prev = previous.theta
 
-    normals = section_normals(section)
-    roots: list[float | None] = [None] * count
-    free: list[int] = []
-    for i in range(count):
-        if section.symmetric and i == 0:
-            roots[i] = 0.0
-            continue
-        if section.symmetric and i == last:
-            roots[i] = pi / 2.0
-            continue
-        free.append(i)
+    free = np.arange(1, last) if section.symmetric else np.arange(count)
     if first_sweep:
         # The seed angles carry no neighbour history worth trusting, so every
         # point scans the whole domain and keeps the root nearest its seed.
         lo = np.full(len(free), theta_min)
         hi = np.full(len(free), theta_max)
     else:
-        lo = np.array([max(prev[max(i - 1, 0)] - BRACKET_SLACK, theta_min) for i in free])
-        hi = np.array([min(prev[min(i + 1, last)] + BRACKET_SLACK, theta_max) for i in free])
-    prefer = np.array([float(prev[i]) for i in free])
-    for k, root in enumerate(_batch_roots(scaled, pts, normals, free, lo, hi, prefer)):
-        roots[free[k]] = root
+        lo = np.maximum(prev[np.maximum(free - 1, 0)] - BRACKET_SLACK, theta_min)
+        hi = np.minimum(prev[np.minimum(free + 1, last)] + BRACKET_SLACK, theta_max)
+    roots = _batch_roots(scaled, pts[free], _free_normals(section), lo, hi, prev[free])
+    if section.symmetric:
+        roots = [0.0, *roots, pi / 2.0]
 
     theta = np.empty(count)
     unresolved: set[int] = set()

@@ -1,12 +1,19 @@
 """Slow reference implementations used only to cross-check the library.
 
 Everything here is written from the defining formula, independent of the
-library's own code paths, so a shared bug cannot hide in both sides.
+library's own code paths, so a shared bug cannot hide in both sides.  The
+one exception is `lockstep_bisect_roots`, an earlier version of the
+library's batched angle solver kept as a bit-exact reference: it shares the
+library's series kernel on purpose, so that any difference in its roots
+comes from the solver alone.
 """
 
 from itertools import permutations
 
 import numpy as np
+
+from hullmap.mapping import _boundary, _series_terms
+from hullmap.theta import MAX_BISECTIONS, SCAN_SAMPLES, THETA_TOL
 
 
 def permutation_parity(perm) -> int:
@@ -109,3 +116,98 @@ def scan_and_bisect_root(scale_a, point, cos_phi, sin_phi, lo, hi, prefer, sampl
         else:
             a, f_a = mid, f_mid
     return 0.5 * (a + b)
+
+
+def _lockstep_residual(terms, x, y, cos_phi, sin_phi, theta):
+    bx, by = _boundary(terms, theta)
+    return x * cos_phi - cos_phi * bx - y * sin_phi + sin_phi * by
+
+
+def _lockstep_pick(samples: np.ndarray, res: np.ndarray, prefer: float):
+    """Scan-sample candidate nearest ``prefer``: (a, b, f_a), or None without one.
+
+    Exact zeros collapse to a degenerate candidate with a == b.
+    """
+    candidates: list[tuple[float, float, float, float]] = []
+    for k in np.flatnonzero(res == 0.0):
+        t = float(samples[k])
+        candidates.append((t, t, t, 0.0))
+    flips = np.flatnonzero(np.sign(res[:-1]) * np.sign(res[1:]) < 0.0)
+    for k in flips:
+        a, b = float(samples[k]), float(samples[k + 1])
+        candidates.append((0.5 * (a + b), a, b, float(res[k])))
+    if not candidates:
+        return None
+    _, a, b, f_a = min(candidates, key=lambda c: abs(c[0] - prefer))
+    return a, b, f_a
+
+
+def lockstep_bisect_roots(scaled, points, normals, indices, lo, hi, prefer, tol=THETA_TOL):
+    """Batched scan-and-bisect roots, or None each, as the library once computed them.
+
+    ``normals`` is a list of objects with ``cos_phi`` and ``sin_phi``, looked
+    up through ``indices`` like ``points``.  Each row's candidate is picked by
+    a Python ``min`` over its zeros, then its sign changes; the bisection
+    re-gathers its active rows from full-length state on every step.
+    """
+    roots: list[float | None] = [None] * len(indices)
+    usable = [k for k in range(len(indices)) if lo[k] < hi[k]]
+    if not usable:
+        return roots
+    lo_u, hi_u = lo[usable], hi[usable]
+    grid = np.linspace(lo_u, hi_u, SCAN_SAMPLES, axis=-1)
+    xv = points[[indices[k] for k in usable], 0][:, None]
+    yv = points[[indices[k] for k in usable], 1][:, None]
+    cv = np.array([normals[indices[k]].cos_phi for k in usable])[:, None]
+    sv = np.array([normals[indices[k]].sin_phi for k in usable])[:, None]
+    terms = _series_terms(scaled.values)
+    res = _lockstep_residual(terms, xv, yv, cv, sv, grid)
+
+    job_rows: list[int] = []
+    job_lo: list[float] = []
+    job_hi: list[float] = []
+    job_flo: list[float] = []
+    for row, k in enumerate(usable):
+        picked = _lockstep_pick(grid[row], res[row], float(prefer[k]))
+        if picked is None:
+            continue
+        a, b, f_a = picked
+        if a == b:
+            roots[k] = a
+            continue
+        job_rows.append(row)
+        job_lo.append(a)
+        job_hi.append(b)
+        job_flo.append(f_a)
+    if not job_rows:
+        return roots
+
+    b_lo = np.array(job_lo)
+    b_hi = np.array(job_hi)
+    b_flo = np.array(job_flo)
+    b_root = np.full(len(job_rows), np.nan)
+    xj = xv[job_rows, 0]
+    yj = yv[job_rows, 0]
+    cj = cv[job_rows, 0]
+    sj = sv[job_rows, 0]
+    active = np.arange(len(job_rows))
+    for _ in range(MAX_BISECTIONS):
+        active = active[(b_hi[active] - b_lo[active]) > tol]
+        if active.size == 0:
+            break
+        mid = 0.5 * (b_lo[active] + b_hi[active])
+        f_mid = _lockstep_residual(terms, xj[active], yj[active], cj[active], sj[active], mid)
+        hit = f_mid == 0.0
+        b_root[active[hit]] = mid[hit]
+        live = active[~hit]
+        mid, f_mid = mid[~hit], f_mid[~hit]
+        shrink_hi = (b_flo[live] < 0.0) != (f_mid < 0.0)
+        b_hi[live[shrink_hi]] = mid[shrink_hi]
+        b_lo[live[~shrink_hi]] = mid[~shrink_hi]
+        b_flo[live[~shrink_hi]] = f_mid[~shrink_hi]
+        active = live
+    open_jobs = np.isnan(b_root)
+    b_root[open_jobs] = 0.5 * (b_lo[open_jobs] + b_hi[open_jobs])
+    for slot, row in enumerate(job_rows):
+        roots[usable[row]] = float(b_root[slot])
+    return roots

@@ -145,6 +145,26 @@ def test_evaluate_rejects_malformed_json(tmp_path, capsys):
     assert run("evaluate", "--input", src, "--out", tmp_path) == 3
 
 
+@pytest.mark.parametrize("a", [[1.0, float("nan")], [1.0, float("inf")]])
+def test_evaluate_rejects_non_finite_coefficients(tmp_path, capsys, a):
+    src = tmp_path / "coeffs.json"
+    src.write_text(json.dumps({"F": 1.0, "a": a}))
+    assert run("evaluate", "--input", src, "--out", tmp_path) == 3
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "coeffs_evaluate.json").exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+@pytest.mark.parametrize("mode", ["lewis", "evaluate"])
+def test_samples_below_one_is_a_usage_error(rect_file, tmp_path, capsys, mode, samples):
+    src = rect_file
+    if mode == "evaluate":
+        src = tmp_path / "coeffs.json"
+        src.write_text(json.dumps({"F": 1.0, "a": [1.0]}))
+    assert run(mode, "--input", src, "--out", tmp_path, "--samples", samples) == 2
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_asymmetric_fit_round_trip(tmp_path):
     path = tmp_path / "heeled.txt"
     path.write_text(serialize_offsets(heeled_rectangle(21)))

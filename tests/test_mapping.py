@@ -34,6 +34,21 @@ def test_scale_must_be_positive():
         MappingCoefficients(0.0, np.array([1.0]))
 
 
+@pytest.mark.parametrize(
+    "scale, a",
+    [
+        (1.0, [1.0, float("nan")]),
+        (1.0, [1.0, 0.2, float("inf")]),
+        (1.0, [1.0, -float("inf")]),
+        (float("inf"), [1.0, 0.1]),
+        (float("nan"), [1.0, 0.1]),
+    ],
+)
+def test_non_finite_coefficients_are_rejected(scale, a):
+    with pytest.raises(ValueError, match="finite"):
+        MappingCoefficients(scale, np.array(a))
+
+
 def test_coefficients_are_read_only():
     with pytest.raises(ValueError):
         CIRCLE.a[0] = 2.0

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 import hullmap.theta as theta_mod
 from hullmap.errors import ConfigurationError, DegenerateNormalError, FitAbortError
-from hullmap.mapping import ScaledCoefficients
-from hullmap.section import from_points
-from hullmap.shapes import circle_section
+from hullmap.fit import FitConfig, fit_section
+from hullmap.mapping import ScaledCoefficients, boundary_from_scaled
 from hullmap.theta import (
     NormalDirection,
     ThetaAssignment,
@@ -21,7 +20,7 @@ from hullmap.theta import (
     theta_residual,
 )
 
-from oracles import projection_residual, scan_and_bisect_root
+from oracles import lockstep_bisect_roots, projection_residual, scan_and_bisect_root
 
 CIRCLE = ScaledCoefficients(np.array([1.0, 0.0]))
 
@@ -113,8 +112,6 @@ def test_residual_equals_projection_onto_the_normal_line(values, px, py, phi, th
     assert got == pytest.approx(want, abs=1e-12)
 
 
-VERTICAL = NormalDirection(1.0, 0.0)
-
 # One case per row: point, bracket, hint (None: the bracket midpoint).
 BATCH_CASES = (
     ((sin(0.7), 0.123), (0.0, pi / 2.0), None),
@@ -125,6 +122,10 @@ BATCH_CASES = (
     ((0.5, 0.0), (0.0, pi), 2.8),
     # At theta = 0 the residual vanishes exactly for a point on the centreline.
     ((0.0, 0.4), (0.0, pi / 2.0), 0.0),
+    # On the integer grid 0..63 the zero at 0 and the sign changes at
+    # midpoints 3.5 and 6.5 (around pi and 2 pi) tie for each hint.
+    ((0.0, 0.5), (0.0, 63.0), 1.75),
+    ((0.0, 0.5), (0.0, 63.0), 5.0),
 )
 
 
@@ -136,7 +137,8 @@ def _circle_roots(cases):
     prefer = np.array(
         [0.5 * (b[0] + b[1]) if hint is None else hint for _, b, hint in cases]
     )
-    return _batch_roots(CIRCLE, pts, [VERTICAL] * len(cases), list(range(len(cases))), lo, hi, prefer)
+    vertical = np.tile([1.0, 0.0], (len(cases), 1))
+    return _batch_roots(CIRCLE, pts, vertical, lo, hi, prefer)
 
 
 def test_solve_theta_on_the_circle():
@@ -160,6 +162,12 @@ def test_solve_theta_prefers_the_candidate_nearest_the_hint():
 
 def test_solve_theta_returns_exact_grid_zeros():
     assert _circle_roots(BATCH_CASES[5:6]) == [0.0]
+
+
+def test_solve_theta_breaks_ties_toward_zeros_then_lower_angles():
+    at_zero, lower = _circle_roots(BATCH_CASES[6:8])
+    assert at_zero == 0.0
+    assert lower == pytest.approx(pi, abs=1e-11)
 
 
 def test_solve_theta_batches_each_case_as_if_alone():
@@ -186,16 +194,14 @@ def test_batch_roots_match_scalar_roots(values, count, data):
             for _ in range(count)
         ]
     )
-    normals = [
-        NormalDirection(cos(a), sin(a))
-        for a in (data.draw(st.floats(0.0, 2.0 * pi)) for _ in range(count))
-    ]
+    phi = np.array([data.draw(st.floats(0.0, 2.0 * pi)) for _ in range(count)])
+    normals = np.column_stack([np.cos(phi), np.sin(phi)])
     lo = np.array([data.draw(st.floats(-2.0, 1.0)) for _ in range(count)])
     hi = lo + np.array([data.draw(st.floats(0.0, 3.0)) for _ in range(count)])
     prefer = 0.5 * (lo + hi)
-    batch = _batch_roots(scaled, pts, normals, list(range(count)), lo, hi, prefer)
+    batch = _batch_roots(scaled, pts, normals, lo, hi, prefer)
     for i in range(count):
-        c, s = normals[i].cos_phi, normals[i].sin_phi
+        c, s = normals[i]
         scalar = scan_and_bisect_root(values, pts[i], c, s, lo[i], hi[i], prefer[i])
         got = batch[i]
         if got == scalar or (None not in (got, scalar) and abs(got - scalar) <= 1e-10):
@@ -208,6 +214,79 @@ def test_batch_roots_match_scalar_roots(values, count, data):
         if got is not None:
             assert lo[i] <= got <= hi[i]
             assert abs(projection_residual(values, pts[i], c, s, got)) < 1e-9
+
+
+def _lockstep(scaled, pts, normals, lo, hi, prefer):
+    """The reference solver on the arguments `_batch_roots` takes."""
+    listed = [NormalDirection(c, s) for c, s in normals.tolist()]
+    return lockstep_bisect_roots(scaled, pts, listed, list(range(len(pts))), lo, hi, prefer)
+
+
+# One row: kind, x, y, phi, lo, width, hint offset, scan sample j.  Widths
+# <= 0 give empty brackets.  The other kinds place the point so that the
+# residual is zero to rounding at a sample or at a first bisection midpoint,
+# which makes the candidate and the root depend on the residual's last bits:
+# "centreline" is (0, y) against a vertical normal with lo = 0 (an exact zero
+# at the first sample for any coefficients); "sample" and "midpoint" put the
+# point on the boundary at scan sample j or halfway to sample j + 1.
+BATCH_ROW = st.tuples(
+    st.sampled_from(["free", "centreline", "sample", "midpoint"]),
+    st.floats(-1.5, 1.5),
+    st.floats(0.0, 1.5),
+    st.floats(0.0, 2.0 * pi),
+    st.floats(-2.0, 1.0),
+    st.one_of(st.just(0.0), st.floats(-0.5, 3.0)),
+    st.floats(-1.0, 4.0),
+    st.integers(0, theta_mod.SCAN_SAMPLES - 2),
+)
+
+
+@given(
+    st.lists(st.floats(0.3, 1.5), min_size=1, max_size=1).flatmap(
+        lambda lead: st.lists(st.floats(-0.4, 0.4), min_size=1, max_size=6).map(
+            lambda rest: np.array(lead + rest)
+        )
+    ),
+    st.lists(BATCH_ROW, min_size=1, max_size=40),
+)
+@settings(max_examples=150)
+def test_batch_roots_equal_the_lockstep_oracle_bit_for_bit(values, rows):
+    # Whole batches are compared: a row's bits depend on the rows sharing its
+    # residual calls.
+    scaled = ScaledCoefficients(values)
+    lo = np.array([0.0 if row[0] == "centreline" else row[4] for row in rows])
+    hi = lo + np.array([row[5] for row in rows])
+    prefer = lo + np.array([row[6] for row in rows])
+    grid = np.linspace(lo, hi, theta_mod.SCAN_SAMPLES, axis=-1)
+    pts = np.empty((len(rows), 2))
+    normals = np.empty((len(rows), 2))
+    for i, (kind, x, y, phi, _, _, _, j) in enumerate(rows):
+        normals[i] = (cos(phi), sin(phi))
+        if kind == "centreline":
+            pts[i], normals[i] = (0.0, y), (1.0, 0.0)
+        elif kind == "free":
+            pts[i] = (x, y)
+        else:
+            t = grid[i, j] if kind == "sample" else 0.5 * (grid[i, j] + grid[i, j + 1])
+            pts[i] = boundary_from_scaled(values, t)
+    got = _batch_roots(scaled, pts, normals, lo, hi, prefer)
+    assert got == _lockstep(scaled, pts, normals, lo, hi, prefer)
+
+
+def test_fit_sweeps_equal_the_lockstep_oracle_bit_for_bit(rectangle41, monkeypatch):
+    real = _batch_roots
+    compared = []
+
+    def checked(scaled, pts, normals, lo, hi, prefer, tol=theta_mod.THETA_TOL):
+        roots = real(scaled, pts, normals, lo, hi, prefer, tol)
+        assert roots == _lockstep(scaled, pts, normals, lo, hi, prefer)
+        compared.append(len(roots))
+        return roots
+
+    monkeypatch.setattr(theta_mod, "_batch_roots", checked)
+    result = fit_section(rectangle41, FitConfig(5, 1e-8))
+    assert len(compared) == len(result.theta_history) > 1
+    assert all(n == len(rectangle41.points) - 2 for n in compared)
 
 
 def test_assign_thetas_pins_symmetric_endpoints(circle41):
@@ -240,8 +319,8 @@ def test_unresolved_points_step_by_extrapolation(tiny_symmetric, monkeypatch):
 
     real = _batch_roots
 
-    def drop_last_interior(scaled, pts, normals, indices, lo, hi, prefer, tol=1e-12):
-        roots = real(scaled, pts, normals, indices, lo, hi, prefer, tol)
+    def drop_last_interior(scaled, pts, normals, lo, hi, prefer, tol=1e-12):
+        roots = real(scaled, pts, normals, lo, hi, prefer, tol)
         roots[-1] = None
         return roots
 
@@ -257,8 +336,8 @@ def test_extrapolation_clamps_to_the_domain(tiny_asymmetric, monkeypatch):
     reference = assign_thetas(CIRCLE, tiny_asymmetric)
     real = _batch_roots
 
-    def no_roots(scaled, pts, normals, indices, lo, hi, prefer, tol=1e-12):
-        roots = real(scaled, pts, normals, indices, lo, hi, prefer, tol)
+    def no_roots(scaled, pts, normals, lo, hi, prefer, tol=1e-12):
+        roots = real(scaled, pts, normals, lo, hi, prefer, tol)
         for k in range(2, len(roots)):
             roots[k] = None
         return roots
@@ -274,7 +353,7 @@ def test_abort_when_the_leading_points_have_no_angle(tiny_asymmetric, monkeypatc
     monkeypatch.setattr(
         theta_mod,
         "_batch_roots",
-        lambda scaled, pts, normals, indices, lo, hi, prefer, tol=1e-12: [None] * len(indices),
+        lambda scaled, pts, normals, lo, hi, prefer, tol=1e-12: [None] * len(pts),
     )
     with pytest.raises(FitAbortError):
         assign_thetas(CIRCLE, tiny_asymmetric)
