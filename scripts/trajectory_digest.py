@@ -4,9 +4,10 @@ Usage: PYTHONPATH=src python scripts/trajectory_digest.py [--verbose]
 
 The fits are the four gallery shapes (rectangle, bulb, fine, chine; 41
 points each), circle41 and heeled_rectangle(21, 15 deg), each at N = 5, 8
-and 12 to tolerance 1e-8 * scale^2.  The digest covers the raw bytes of
-every fit's error_history, fa_history, each sweep's angles and unresolved
-set, and mapped_points.  A fit that raises contributes its exception type
+and 12, plus rectangle41 and bulb41 at N = 30 and 60 (the angle solver's
+rounding bounds grow with N), all to tolerance 1e-8 * scale^2.  The digest
+covers the raw bytes of every fit's error_history, fa_history, each sweep's
+angles and unresolved set, and mapped_points.  A fit that raises contributes its exception type
 and message instead.
 
 hullmap is imported from whatever tree is on PYTHONPATH, so running the
@@ -41,6 +42,7 @@ SECTIONS = {
     "heeled_rectangle21": lambda: heeled_rectangle(21, heel_deg=15.0),
 }
 ORDERS = (5, 8, 12)
+HIGH_ORDERS = {"rectangle41": (30, 60), "bulb41": (30, 60)}
 
 
 def _fit_bytes(section, order: int) -> bytes:
@@ -65,7 +67,7 @@ def main() -> None:
     total = hashlib.sha256()
     for name, build in SECTIONS.items():
         section = build()
-        for order in ORDERS:
+        for order in ORDERS + HIGH_ORDERS.get(name, ()):
             blob = _fit_bytes(section, order)
             total.update(blob)
             if args.verbose:

@@ -191,12 +191,12 @@ def _emit(spec: RunSpec, stem: str, report: dict, contour, label: str, markers=N
 
 def _load_coefficients(path: Path) -> tuple[MappingCoefficients, bool]:
     data = json.loads(path.read_text())
-    if "coefficients" in data:
-        block = data["coefficients"]
-        symmetric = bool(data.get("symmetric", True))
-    else:
-        block = data
-        symmetric = bool(data.get("symmetric", True))
+    if not isinstance(data, dict):
+        raise ValueError("coefficients file must hold a JSON object")
+    block = data.get("coefficients", data)
+    if not isinstance(block, dict):
+        raise ValueError("coefficient block must be a JSON object")
+    symmetric = bool(data.get("symmetric", True))
     coeffs = MappingCoefficients(float(block["F"]), np.asarray(block["a"], dtype=float))
     return coeffs, symmetric
 
@@ -208,7 +208,7 @@ def _run(spec: RunSpec) -> int:
     if spec.mode == "evaluate":
         try:
             coeffs, symmetric = _load_coefficients(spec.input_path)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, TypeError, KeyError) as exc:
             print(f"parse: {exc}", file=sys.stderr)
             return 3
         contour = _sample_contour(coeffs, symmetric, spec.samples)

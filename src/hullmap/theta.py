@@ -19,6 +19,19 @@ exactly the brackets still open, in point order, and nothing else.  A change
 that regroups, pads or speculatively evaluates rows can move roots by an
 ulp, and through them every later sweep.
 
+The solver reads only the residual's sign, and whether it is exactly zero,
+never its value.  So most signs come from cheaper computations that provably
+agree with the float residual: a complex Horner evaluation of the series for
+the scan, and for the bisection a Newton estimate of each root inside an
+interval where the residual is proved monotone.  Each comes with a rigorous
+bound on its distance from the float residual, and a sign is taken from it
+only where the value clears that bound.  Where any sign is in doubt, the
+solver makes the exact call it always made, on the same rows: the whole grid
+for the scan, exactly the open brackets for a bisection step.  Since every
+sign decided either way equals the float residual's, the brackets, the open
+rows and so the grouping of every exact call stay as they were, and the
+roots stay bit-identical.  `_batch_roots` derives the bounds.
+
 A point whose residual never changes sign inside its bracket keeps moving by
 linear extrapolation from its two predecessors and is reported as unresolved.
 """
@@ -39,6 +52,15 @@ SCAN_SAMPLES = 64
 BRACKET_SLACK = 0.1
 ASYM_DOMAIN_SLACK = 0.35
 MAX_BISECTIONS = 200
+# The rounding bounds of `_batch_roots` are this many times their derived
+# worst case; the slack also covers the rounding of the certificate's own
+# arithmetic and the ignored second-order terms.
+ROUNDING_SAFETY = 4.0
+# Newton steps from an interval's centre to the estimate the bisection
+# compares against; three take a scan interval's centre to rounding level on
+# later sweeps, and the estimate only needs to be close, not exact.
+NEWTON_STEPS = 3
+_UNIT = np.finfo(float).eps / 2.0
 
 
 @dataclass(frozen=True)
@@ -143,6 +165,80 @@ def theta_residual(scaled: ScaledCoefficients, point, normal: NormalDirection, t
     return float(res) if th.ndim == 0 else res
 
 
+def _rounding_bound(cs, t_abs, low, high, count, xys=0.0):
+    """Bound E on |fl(f) - f| for the residual (or slope) summed from np.sin/np.cos terms.
+
+    ``cs`` = |cos_phi| + |sin_phi|, ``xys`` = |x cos_phi| + |y sin_phi| (0 for
+    the slope), ``t_abs`` bounds |theta|, ``count`` is the number of terms,
+    and ``low`` and ``high`` are the sums of the term weights' magnitudes
+    without and with one more factor |2n - 1|.  `_batch_roots` derives it.
+    """
+    return ROUNDING_SAFETY * _UNIT * (cs * (t_abs * high + (1.01 * count + 20.0) * low) + 4.0 * xys)
+
+
+def _horner_bound(cs, low, high, count, xys):
+    """Bound E_h on |g - f| for the residual g of `_horner_residual`; see `_batch_roots`."""
+    return ROUNDING_SAFETY * _UNIT * (cs * (25.0 * high + (4.0 * count + 56.0) * low) + 4.0 * xys)
+
+
+def _horner_residual(values, xc, ys, cos_phi, sin_phi, theta):
+    """The residual by complex Horner, with one sine and one cosine per angle.
+
+    The boundary is y - i x = conj(z) * sum_n Fa_n w**n with z = exp(i theta)
+    and w = -z**2, for the scaled coefficients Fa_n = ``values``.
+    """
+    z = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=z.real)
+    np.sin(theta, out=z.imag)
+    w = -(z * z)
+    acc = np.full(theta.shape, values[-1], dtype=complex)
+    for coeff in values[-2::-1]:
+        acc *= w
+        acc += coeff
+    acc *= np.conj(z)
+    return (xc - ys) + (cos_phi * acc.imag + sin_phi * acc.real)
+
+
+def _value_and_slope(odd, sin_weights, cos_weights, xc, ys, cos_phi, sin_phi, theta):
+    """The residual and its derivative in theta, from one set of sin/cos terms.
+
+    ``sin_weights`` and ``cos_weights`` are the columns (wx, -wy * odd) and
+    (wy, wx * odd) built from the series terms (odd, wx, wy).
+    """
+    angles = theta[:, None] * odd
+    sin_part = np.sin(angles) @ sin_weights
+    cos_part = np.cos(angles) @ cos_weights
+    value = ((xc - cos_phi * sin_part[:, 0]) - ys) + sin_phi * cos_part[:, 0]
+    slope = sin_phi * sin_part[:, 1] - cos_phi * cos_part[:, 1]
+    return value, slope
+
+
+def _enclosures(terms, sums, xc, ys, cos_phi, sin_phi, a, b, a_neg):
+    """Root estimates r and half-widths eta of the zones where a sign is in doubt.
+
+    Row k's residual is proved monotone on ``[a[k], b[k]]``, with the sign
+    ``a_neg[k]`` at its lower end, and every t there with |t - r| > eta has
+    the float residual's sign of (t - r) * slope; rows without that proof get
+    eta = inf.  ``sums`` holds K, A, B and B2 (see `_batch_roots`).
+    """
+    count, low, high, high2 = sums
+    odd, wx, wy = terms
+    series = (odd, np.column_stack([wx, -(wy * odd)]), np.column_stack([wy, wx * odd]))
+    cs, xys = np.abs(cos_phi) + np.abs(sin_phi), np.abs(xc) + np.abs(ys)
+    t_abs = np.maximum(np.abs(a), np.abs(b))
+    r = 0.5 * (a + b)
+    f, slope = _value_and_slope(*series, xc, ys, cos_phi, sin_phi, r)
+    f_min = np.abs(slope) - _rounding_bound(cs, t_abs, high, high2, count) - cs * high2 * (b - a) * 0.5
+    certified = (f_min > 0.0) & (a_neg == (slope > 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(NEWTON_STEPS):
+            r = np.clip(r - f / slope, a, b)
+            f, slope = _value_and_slope(*series, xc, ys, cos_phi, sin_phi, r)
+        eta = (np.abs(f) + 2.0 * _rounding_bound(cs, t_abs, low, high, count, xys)) / f_min
+    eta[~certified] = np.inf
+    return r, eta
+
+
 def _batch_roots(
     scaled: ScaledCoefficients,
     points: np.ndarray,
@@ -162,6 +258,60 @@ def _batch_roots(
     changes and the lower sample first on a tie.  Kept sign changes are
     refined by bisection in lockstep across rows.  An empty bracket or a scan
     without a candidate gives None.
+
+    Only the signs of `_residual`, and whether it is exactly zero, decide
+    anything, so a sign proved by a cheaper computation stands in for a call.
+    The proofs rest on a bound E on |fl(f) - f|, the float `_residual` against
+    the exact residual f of the same float inputs.  With u = 2**-53, K
+    coefficients Fa_n, A = sum |Fa_n|, B = sum |Fa_n| |2n - 1|, cs = |c| + |s|
+    and xys = |x c| + |y s|:
+
+    * the angle t (2n - 1) rounds by at most u |t| |2n - 1|, and np.sin or
+      np.cos adds at most 8 ulp <= 16u, so each term is off by at most
+      |Fa_n| (u |t| |2n - 1| + 16u), in all at most u (|t| B + 16 A);
+    * the K-term product, summed in any order and so for any number of rows
+      per call, adds at most gamma_K (1 + 16u) A <= 1.01 K u A;
+    * the products c*bx and s*by and the three additions add at most
+      u cs A + 3u (xys + cs A), and forming x c and y s adds u xys,
+
+    so |fl(f) - f| <= u [cs (|t| B + (1.01 K + 20) A) + 4 xys] up to terms of
+    order u**2.  The slope f' = s * dby - c * dbx from the same sin/cos terms
+    obeys the same bound E' with (A, B) -> (B, B2), B2 = sum |Fa_n| (2n - 1)**2,
+    and no xys (the weights Fa_n (2n - 1) round once more: counted in the 20).
+    `_rounding_bound` multiplies both by `ROUNDING_SAFETY`.  The slack, three
+    quarters of each bound, also covers the terms of order u**2 and the
+    rounding of the certificate's own arithmetic: a few u times quantities
+    no larger than xys + cs A (cs B for the slope), where E >= 16u (xys + cs A)
+    and E' >= 84u cs B.
+
+    Scan.  `_horner_residual` computes the residual without a sine per term.
+    With z = fl(cos t) + i fl(sin t), |z - exp(it)| <= 23u, w = -z*z is off by
+    at most 49u, which moves P(w) = sum Fa_n w**n by at most
+    49u sum n |Fa_n| <= 25u (A + B); each of the K - 1 complex multiply-adds
+    rounds by at most (2 sqrt 2 + 1) u A, and the product with conj(z) adds
+    (23 + 2 sqrt 2) u A.  That error reaches f multiplied by at most cs, and
+    the outer arithmetic adds 3u cs A + 4u xys.  So the Horner value g is
+    within E_h = `ROUNDING_SAFETY` u [cs (25 B + (4 K + 56) A) + 4 xys] of f,
+    and where |g| > E + E_h, f is farther than E from zero: `_residual` has
+    g's sign and is not zero.  If that holds at every sample of every
+    row, the scan takes its signs from g; otherwise it calls `_residual` on
+    the whole grid, as without the certificate.
+
+    Bisection.  Each kept interval [a, b], of width h, gets an enclosure from
+    f and f' at its centre: |f''| <= M2 = cs B2, so
+    f_min = |f'(centre)| - E' - M2 h / 2 > 0 proves f monotone on [a, b] with
+    |f'| >= f_min.  `NEWTON_STEPS` Newton steps, each clipped to [a, b], give
+    r; for any t in [a, b] with |t - r| > eta = (|fl(f(r))| + 2E) / f_min,
+    the mean value theorem gives |f(t)| > E with the sign of
+    f' * (t - r), so `_residual` at t is nonzero with that sign.  When the
+    sign the scan saw at a is the opposite of the slope's, the step's
+    decision, "the root lies below mid", is just mid > r.  A step whose open
+    midpoints all lie outside their rows' [r - eta, r + eta] decides them so
+    and calls nothing; a step with any midpoint inside, or any uncertified
+    row open (eta = inf), calls `_residual` on exactly the open rows, which
+    is the call the bisection made before the certificate.  Every decision
+    equals the float sign's, so the brackets, the open rows and the grouping
+    of every call are unchanged, and so are the roots, bit for bit.
     """
     roots: list[float | None] = [None] * len(points)
     usable = np.flatnonzero(lo < hi)
@@ -171,7 +321,16 @@ def _batch_roots(
     xc, ys = points[usable, 0] * c, points[usable, 1] * s
     grid = np.linspace(lo[usable], hi[usable], SCAN_SAMPLES, axis=-1)
     terms = _series_terms(scaled.values)
-    res = _residual(terms, xc[:, None], ys[:, None], c[:, None], s[:, None], grid)
+    fa = np.abs(scaled.values)
+    mult = np.abs(terms[0])
+    sums = (len(fa), fa.sum(), fa @ mult, fa @ (mult * mult))
+    count, low, high, _ = sums
+    cs, xys = np.abs(c) + np.abs(s), np.abs(xc) + np.abs(ys)
+    t_abs = np.maximum(np.abs(lo[usable]), np.abs(hi[usable]))
+    res = _horner_residual(scaled.values, xc[:, None], ys[:, None], c[:, None], s[:, None], grid)
+    doubt = _rounding_bound(cs, t_abs, low, high, count, xys) + _horner_bound(cs, low, high, count, xys)
+    if not (np.abs(res) > doubt[:, None]).all():
+        res = _residual(terms, xc[:, None], ys[:, None], c[:, None], s[:, None], grid)
 
     # One distance per sample for the zeros, then one per interval for the
     # sign changes, inf where there is no candidate: argmin returns the first
@@ -197,6 +356,7 @@ def _batch_roots(
     b_lo, b_hi = grid[jobs, k], grid[jobs, k + 1]
     lo_neg = res[jobs, k] < 0.0
     xc, ys, c, s = xc[jobs], ys[jobs], c[jobs], s[jobs]
+    r, eta = _enclosures(terms, sums, xc, ys, c, s, b_lo, b_hi, lo_neg)
     # Each residual call holds exactly the brackets still open, in row order
     # (see the module docstring for why the grouping matters).
     for _ in range(MAX_BISECTIONS):
@@ -204,17 +364,22 @@ def _batch_roots(
         if np.count_nonzero(still_open) < jobs.size:
             closed = ~still_open
             out[jobs[closed]] = 0.5 * (b_lo[closed] + b_hi[closed])
-            jobs, b_lo, b_hi, lo_neg, xc, ys, c, s = (
-                v[still_open] for v in (jobs, b_lo, b_hi, lo_neg, xc, ys, c, s)
+            jobs, b_lo, b_hi, lo_neg, xc, ys, c, s, r, eta = (
+                v[still_open] for v in (jobs, b_lo, b_hi, lo_neg, xc, ys, c, s, r, eta)
             )
         if not jobs.size:
             break
         mid = 0.5 * (b_lo + b_hi)
-        f_mid = _residual(terms, xc, ys, c, s, mid)
-        shrink_hi = lo_neg != (f_mid < 0.0)
+        offset = mid - r
+        if (np.abs(offset) > eta).all():
+            shrink_hi = offset > 0.0
+            f_mid = None
+        else:
+            f_mid = _residual(terms, xc, ys, c, s, mid)
+            shrink_hi = lo_neg != (f_mid < 0.0)
         b_lo = np.where(shrink_hi, b_lo, mid)
         b_hi = np.where(shrink_hi, mid, b_hi)
-        if np.count_nonzero(f_mid) < jobs.size:
+        if f_mid is not None and np.count_nonzero(f_mid) < jobs.size:
             # An exact zero collapses the bracket onto mid, which the next
             # width check closes with 0.5 * (mid + mid) == mid.
             hit = f_mid == 0.0

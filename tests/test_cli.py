@@ -145,6 +145,17 @@ def test_evaluate_rejects_malformed_json(tmp_path, capsys):
     assert run("evaluate", "--input", src, "--out", tmp_path) == 3
 
 
+@pytest.mark.parametrize(
+    "payload", [[1, 2], {"F": None, "a": [1.0]}, {"coefficients": [1]}]
+)
+def test_evaluate_rejects_json_of_the_wrong_shape(tmp_path, capsys, payload):
+    src = tmp_path / "coeffs.json"
+    src.write_text(json.dumps(payload))
+    assert run("evaluate", "--input", src, "--out", tmp_path) == 3
+    assert capsys.readouterr().err.startswith("parse: ")
+    assert not (tmp_path / "coeffs_evaluate.json").exists()
+
+
 @pytest.mark.parametrize("a", [[1.0, float("nan")], [1.0, float("inf")]])
 def test_evaluate_rejects_non_finite_coefficients(tmp_path, capsys, a):
     src = tmp_path / "coeffs.json"

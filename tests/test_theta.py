@@ -289,6 +289,138 @@ def test_fit_sweeps_equal_the_lockstep_oracle_bit_for_bit(rectangle41, monkeypat
     assert all(n == len(rectangle41.points) - 2 for n in compared)
 
 
+def _exact_series(values, x, y, c, s, t):
+    """The residual and its slope at 40 digits, from the float inputs as given."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x, y, c, s, t = (mpmath.mpf(float(v)) for v in (x, y, c, s, t))
+        bx = by = dbx = dby = mpmath.mpf(0)
+        for n, fa in enumerate(values):
+            weight, odd = (-1) ** n * mpmath.mpf(float(fa)), 2 * n - 1
+            bx -= weight * mpmath.sin(odd * t)
+            by += weight * mpmath.cos(odd * t)
+            dbx -= weight * odd * mpmath.cos(odd * t)
+            dby -= weight * odd * mpmath.sin(odd * t)
+        return x * c - c * bx - y * s + s * by, s * dby - c * dbx
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_rounding_bounds_hold_against_40_digit_arithmetic(seed):
+    # Each bound carries the factor ROUNDING_SAFETY over its derivation, so
+    # the observed error must stay within a 1 / ROUNDING_SAFETY share of it.
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(2, 65))
+    values = 10.0 ** rng.uniform(-2.0, 2.0) * rng.standard_normal(count)
+    rows, samples = 3, 6
+    edge = pi / 2.0 + theta_mod.ASYM_DOMAIN_SLACK
+    theta = rng.uniform(-edge, edge, (rows, samples))
+    scale = np.abs(values).sum()
+    x, y = rng.uniform(-scale, scale, (2, rows, 1))
+    phi = rng.uniform(0.0, 2.0 * pi, (rows, 1))
+    c, s = np.cos(phi), np.sin(phi)
+    terms = theta_mod._series_terms(values)
+    odd, wx, wy = terms
+    mult = np.abs(odd)
+    fa = np.abs(values)
+    low, high, high2 = fa.sum(), fa @ mult, fa @ (mult * mult)
+    cs, xys = np.abs(c) + np.abs(s), np.abs(x * c) + np.abs(y * s)
+    residual = theta_mod._residual(terms, x * c, y * s, c, s, theta)
+    horner = theta_mod._horner_residual(values, x * c, y * s, c, s, theta)
+    flat = [np.broadcast_to(v, theta.shape).ravel() for v in (x * c, y * s, c, s, theta)]
+    sin_w, cos_w = np.column_stack([wx, -(wy * odd)]), np.column_stack([wy, wx * odd])
+    value, slope = theta_mod._value_and_slope(odd, sin_w, cos_w, *flat)
+    bound = theta_mod._rounding_bound(cs, np.abs(theta), low, high, count, xys)
+    horner_bound = theta_mod._horner_bound(cs, low, high, count, xys)
+    slope_bound = theta_mod._rounding_bound(cs, np.abs(theta), high, high2, count)
+    share = theta_mod.ROUNDING_SAFETY
+    for i in range(rows):
+        for j in range(samples):
+            true, true_slope = _exact_series(values, x[i, 0], y[i, 0], c[i, 0], s[i, 0], theta[i, j])
+            k = i * samples + j
+            assert abs(residual[i, j] - true) <= bound[i, j] / share
+            assert abs(value[k] - true) <= bound[i, j] / share
+            assert abs(horner[i, j] - true) <= horner_bound[i, 0] / share
+            assert abs(slope[k] - true_slope) <= slope_bound[i, j] / share
+
+
+class _CountingResidual:
+    """Stands in for `theta._residual`, counting scan (2-d) and bisection calls."""
+
+    def __init__(self, monkeypatch):
+        self.real = theta_mod._residual
+        self.scans = self.steps = 0
+        monkeypatch.setattr(theta_mod, "_residual", self)
+
+    def __call__(self, terms, xc, ys, c, s, theta):
+        if np.ndim(theta) == 2:
+            self.scans += 1
+        else:
+            self.steps += 1
+        return self.real(terms, xc, ys, c, s, theta)
+
+
+def _circle_rows_with_exact_zeros(offset, count=24, seed=0):
+    """Unit-circle rows whose float residual is exactly zero at a chosen angle.
+
+    Each point is (sin t, y) against the normal (1, 0), whose residual
+    x - sin(theta) the library evaluates as exactly 0.0 at theta = t.  With
+    ``offset`` 0, t is scan sample j; with 0.5 it is the midpoint of samples
+    j and j + 1, the first midpoint the bisection of that interval tries.
+    """
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-0.5, 0.3, count)
+    hi = lo + rng.uniform(0.5, 0.9, count)
+    grid = np.linspace(lo, hi, theta_mod.SCAN_SAMPLES, axis=-1)
+    rows, j = np.arange(count), rng.integers(1, theta_mod.SCAN_SAMPLES - 2, count)
+    at = grid[rows, j] if offset == 0 else 0.5 * (grid[rows, j] + grid[rows, j + 1])
+    pts = np.column_stack([boundary_from_scaled(CIRCLE.values, at)[0], rng.uniform(0.0, 1.0, count)])
+    return pts, np.tile([1.0, 0.0], (count, 1)), lo, hi, at
+
+
+def test_a_sample_residual_zero_to_rounding_forces_the_exact_scan(monkeypatch):
+    pts, normals, lo, hi, at = _circle_rows_with_exact_zeros(0.0)
+    counter = _CountingResidual(monkeypatch)
+    got = _batch_roots(CIRCLE, pts, normals, lo, hi, at)
+    assert counter.scans == 1
+    assert got == at.tolist()
+    assert got == _lockstep(CIRCLE, pts, normals, lo, hi, at)
+
+
+def test_a_midpoint_in_the_zone_of_doubt_forces_an_exact_step(monkeypatch):
+    pts, normals, lo, hi, at = _circle_rows_with_exact_zeros(0.5)
+    counter = _CountingResidual(monkeypatch)
+    got = _batch_roots(CIRCLE, pts, normals, lo, hi, at)
+    assert counter.scans == 0 and counter.steps >= 1
+    assert got == at.tolist()
+    assert got == _lockstep(CIRCLE, pts, normals, lo, hi, at)
+
+
+def test_three_roots_in_one_scan_interval_leave_the_row_uncertified(monkeypatch):
+    # -x(t) = (3 - 3k) t - 13.5 k t**3 + ... for coefficients (1, 0, k/3):
+    # with k just above 1 the residual of (0, y) against the normal (1, 0)
+    # has roots at 0 and about +-1e-3, all between scan samples -0.0055 and
+    # 0.0045, so no slope bound proves it monotone there.
+    k = 1.0 + 4.5e-6
+    scaled = ScaledCoefficients(np.array([1.0, 0.0, k / 3.0]))
+    pts = np.array([[0.0, 0.3], [0.2, 0.9]])
+    normals = np.array([[1.0, 0.0], [0.6, -0.8]])
+    lo, hi = np.array([-0.3155, -0.3155]), np.array([0.3145, 0.3145])
+    prefer = np.zeros(2)
+    counter = _CountingResidual(monkeypatch)
+    got = _batch_roots(scaled, pts, normals, lo, hi, prefer)
+    assert counter.steps >= 1
+    assert got == _lockstep(scaled, pts, normals, lo, hi, prefer)
+    assert abs(got[0]) < 2e-3
+
+
+def test_a_converging_sweep_calls_the_exact_residual_a_few_times(rectangle41, monkeypatch):
+    result = fit_section(rectangle41, FitConfig(5, 1e-8))
+    scaled = ScaledCoefficients(result.fa_history[-1])
+    counter = _CountingResidual(monkeypatch)
+    assign_thetas(scaled, rectangle41, result.theta_history[-2])
+    assert counter.scans + counter.steps < 10
+
+
 def test_assign_thetas_pins_symmetric_endpoints(circle41):
     out = assign_thetas(CIRCLE, circle41)
     assert out.theta[0] == 0.0
