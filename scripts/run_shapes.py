@@ -8,13 +8,12 @@ each shape is written alongside the table.
 """
 
 import argparse
-import json
 import math
 import time
 from pathlib import Path
 
 from hullmap.fit import FitConfig, fit_section
-from hullmap.report import AccuracyReport, build_report, nash_sutcliffe
+from hullmap.report import AccuracyReport, build_report, nash_sutcliffe, write_report
 from hullmap.search import search_optimum
 from hullmap.shapes import (
     bulb_section,
@@ -46,7 +45,7 @@ def run_search(name, section, order_cap, out_dir):
     )
     if out_dir is not None:
         report = build_report(best, AccuracyReport(ex, ey, elapsed), name, section.symmetric, outcome)
-        (out_dir / f"{name}_search.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        write_report(out_dir / f"{name}_search.json", report)
 
 
 def run_heeled(out_dir):
@@ -66,8 +65,7 @@ def run_heeled(out_dir):
                 result, AccuracyReport(ex, ey, elapsed), "heeled_rectangle", False
             )
             report["converged"] = result.converged
-            path = out_dir / f"heeled_rectangle_n{order}_fit.json"
-            path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+            write_report(out_dir / f"heeled_rectangle_n{order}_fit.json", report)
 
 
 def main() -> int:

@@ -5,9 +5,10 @@
     hullmap evaluate --input coeffs.json [--samples 256] [--out DIR] [--emit ...]
     hullmap lewis    --input sec.txt [--out DIR] [--emit ...]
 
-Exit codes: 0 success, 2 usage, 3 parse or validation failure, 4 fit
-divergence, 5 search failure.  With --no-timing all reported wall times are
-written as 0.0 so repeated runs emit byte-identical files.
+Exit codes: 0 success, 2 usage (an unusable --out included), 3 parse or
+validation failure, 4 fit divergence, 5 search failure.  With --no-timing all
+reported wall times are written as 0.0 so repeated runs emit byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .fit import FitConfig, fit_section
 from .mapping import MappingCoefficients, breadth_and_draft, evaluate_boundary, lewis_initial_guess
-from .report import AccuracyReport, build_report, nash_sutcliffe
+from .report import AccuracyReport, build_report, nash_sutcliffe, write_report
 from .search import search_optimum
 from .section import full_area, load_offsets
 
@@ -87,14 +88,11 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     )
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _write_csv(path: Path, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
-    lines = ["theta,x,y"]
-    lines.extend(f"{t:.12g},{a:.12g},{b:.12g}" for t, a, b in zip(theta, x, y))
-    path.write_text("\n".join(lines) + "\n")
+    row = "{:.12g},{:.12g},{:.12g}\n".format
+    with open(path, "w") as handle:
+        handle.write("theta,x,y\n")
+        handle.writelines(map(row, theta.tolist(), x.tolist(), y.tolist()))
 
 
 def _write_svg(path: Path, curves, markers=None, size: int = 640) -> None:
@@ -110,10 +108,12 @@ def _write_svg(path: Path, curves, markers=None, size: int = 640) -> None:
     pad = 0.06 * span
     scale = (size - 2.0) / (span + 2.0 * pad)
 
-    def to_px(pt):
+    def to_px(pts):
+        """Pixel x and y of an (n, 2) array of points, as lists of Python floats."""
+        pts = np.asarray(pts, dtype=float)
         return (
-            (pt[0] - x_lo + pad) * scale,
-            (pt[1] - y_lo + pad) * scale,
+            ((pts[:, 0] - x_lo + pad) * scale).tolist(),
+            ((pts[:, 1] - y_lo + pad) * scale).tolist(),
         )
 
     height = int((y_hi - y_lo + 2.0 * pad) * scale) + 2
@@ -123,7 +123,7 @@ def _write_svg(path: Path, curves, markers=None, size: int = 640) -> None:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    wl_y = to_px((0.0, 0.0))[1]
+    wl_y = (0.0 - y_lo + pad) * scale  # the waterline, y = 0
     parts.append(
         f'<line x1="0" y1="{wl_y:.2f}" x2="{width}" y2="{wl_y:.2f}" '
         'stroke="#9ab" stroke-width="1" stroke-dasharray="6 4"/>'
@@ -131,18 +131,16 @@ def _write_svg(path: Path, curves, markers=None, size: int = 640) -> None:
     palette = {"mapped": "#d33", "lewis": "#2a7", "contour": "#d33"}
     for label, pts in curves:
         colour = palette.get(label, "#36c")
-        coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in (to_px(p) for p in np.asarray(pts)))
+        coords = " ".join(map("{:.2f},{:.2f}".format, *to_px(pts)))
         dash = ' stroke-dasharray="5 4"' if label == "lewis" else ""
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{colour}" stroke-width="1.6"{dash}/>'
         )
-    if markers is not None:
-        for p in np.asarray(markers):
-            px, py = to_px(p)
-            parts.append(
-                f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.4" fill="none" '
-                'stroke="#222" stroke-width="1"/>'
-            )
+    if markers is not None and len(markers):
+        circle = (
+            '<circle cx="{:.2f}" cy="{:.2f}" r="2.4" fill="none" stroke="#222" stroke-width="1"/>'
+        )
+        parts.extend(map(circle.format, *to_px(markers)))
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n")
 
@@ -163,7 +161,7 @@ def _coefficients_payload(coeffs: MappingCoefficients, symmetric: bool) -> dict:
     return {
         "N": coeffs.order,
         "F": float(coeffs.scale),
-        "a": [float(v) for v in coeffs.a],
+        "a": coeffs.a.tolist(),
         "sigma_a": float(0.5 * breadth / coeffs.scale),
         "sigma_b": float(draft / coeffs.scale),
         "symmetric": symmetric,
@@ -178,7 +176,7 @@ def _emit(spec: RunSpec, stem: str, report: dict, contour, label: str, markers=N
     """
     theta, x, y = contour
     if "json" in spec.emit:
-        _write_json(spec.out_dir / f"{stem}_{spec.mode}.json", report)
+        write_report(spec.out_dir / f"{stem}_{spec.mode}.json", report)
     if "csv" in spec.emit:
         _write_csv(spec.out_dir / f"{stem}_contour.csv", theta, x, y)
     if "svg" in spec.emit:
@@ -189,6 +187,11 @@ def _emit(spec: RunSpec, stem: str, report: dict, contour, label: str, markers=N
         _write_svg(spec.out_dir / f"{stem}_plot.svg", curves, markers=markers)
 
 
+def _is_number(value) -> bool:
+    """A JSON number as json.loads returns it; true and false do not count."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_coefficients(path: Path) -> tuple[MappingCoefficients, bool]:
     data = json.loads(path.read_text())
     if not isinstance(data, dict):
@@ -196,25 +199,36 @@ def _load_coefficients(path: Path) -> tuple[MappingCoefficients, bool]:
     block = data.get("coefficients", data)
     if not isinstance(block, dict):
         raise ValueError("coefficient block must be a JSON object")
-    symmetric = bool(data.get("symmetric", True))
+    symmetric = data.get("symmetric", True)
+    if not isinstance(symmetric, bool):
+        raise ValueError("symmetric must be true or false")
+    if not _is_number(block["F"]):
+        raise ValueError("F must be a number")
+    if not isinstance(block["a"], list) or not all(map(_is_number, block["a"])):
+        raise ValueError("a must be a list of numbers")
     coeffs = MappingCoefficients(float(block["F"]), np.asarray(block["a"], dtype=float))
     return coeffs, symmetric
 
 
 def _run(spec: RunSpec) -> int:
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        spec.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"usage: --out {spec.out_dir} is not a usable directory ({exc.strerror})",
+              file=sys.stderr)
+        return 2
     stem = spec.input_path.stem
 
     if spec.mode == "evaluate":
         try:
             coeffs, symmetric = _load_coefficients(spec.input_path)
-        except (OSError, ValueError, TypeError, KeyError) as exc:
+        except (OSError, ValueError, TypeError, KeyError, OverflowError) as exc:
             print(f"parse: {exc}", file=sys.stderr)
             return 3
         contour = _sample_contour(coeffs, symmetric, spec.samples)
         payload = _coefficients_payload(coeffs, symmetric)
         payload["samples"] = spec.samples
-        payload["contour"] = [[float(t), float(a), float(b)] for t, a, b in zip(*contour)]
+        payload["contour"] = np.column_stack(contour).tolist()
         _emit(spec, stem, payload, contour, "contour")
         print(f"evaluated N={coeffs.order} at {spec.samples} angles")
         return 0

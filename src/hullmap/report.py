@@ -1,9 +1,12 @@
-"""Accuracy metrics and the JSON-ready run report."""
+"""Accuracy metrics, the JSON-ready run report and the writer that lays it out."""
 
 from __future__ import annotations
 
+import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -66,10 +69,10 @@ def build_report(
         "nash_sutcliffe": {"ex": accuracy.ex, "ey": accuracy.ey},
         "coefficients": {
             "F": float(fit.coefficients.scale),
-            "a": [float(v) for v in fit.coefficients.a],
+            "a": fit.coefficients.a.tolist(),
         },
-        "thetas": [float(t) for t in fit.thetas.theta],
-        "mapped_contour": [[float(x), float(y)] for x, y in fit.mapped_points],
+        "thetas": fit.thetas.theta.tolist(),
+        "mapped_contour": fit.mapped_points.tolist(),
         "unresolved_theta_indices": sorted(int(i) for i in fit.thetas.unresolved),
     }
     if search is not None:
@@ -83,3 +86,80 @@ def build_report(
             for rec in search.per_order
         ]
     return report
+
+
+_INDENT = "  "
+# Lists are laid out this many items at a time, so a 10000-point contour
+# streams as a few dozen strings of some 30 kB, not one as long as the file.
+_CHUNK = 256
+
+
+def _number_block(items: list | tuple, depth: int) -> str | None:
+    """The text of ``items`` at ``depth + 1``, joined by their separators, or None.
+
+    Only items that are all finite floats, or all non-empty lists of finite
+    floats, are joined here; for anything else the caller lays the items out
+    one by one.
+    """
+    inner = "\n" + _INDENT * (depth + 1)
+    try:
+        if all(isinstance(row, (list, tuple)) and row for row in items):
+            leaf = inner + _INDENT
+            rows = f"{inner}],{inner}[{leaf}".join(
+                f",{leaf}".join(map(float.__repr__, row)) for row in items
+            )
+            text = f"[{leaf}{rows}{inner}]"
+        else:
+            text = f",{inner}".join(map(float.__repr__, items))
+    except TypeError:  # an item that is not a float (ints and bools included)
+        return None
+    # Finite reprs hold only digits, '.', 'e' and signs; 'nan' and 'inf' need
+    # json's spelling, so such items go one by one.
+    return None if "n" in text else text
+
+
+def report_pieces(value, depth: int = 0) -> Iterator[str]:
+    """Yield the text of ``json.dumps(value, indent=2, sort_keys=True)`` in pieces.
+
+    Runs of finite floats, and of rows of them, are joined from
+    ``float.__repr__`` (json's own spelling of a finite float) in pieces of
+    up to ``_CHUNK`` items; every other scalar, and any dict with a
+    non-string key, is spelled by ``json.dumps`` itself.  ``depth`` is the
+    nesting level ``value`` sits at.
+    """
+    inner = "\n" + _INDENT * (depth + 1)
+    if isinstance(value, dict) and value and all(type(key) is str for key in value):
+        separator = "{" + inner
+        for key in sorted(value):
+            yield separator + json.dumps(key) + ": "
+            yield from report_pieces(value[key], depth + 1)
+            separator = "," + inner
+        yield "\n" + _INDENT * depth + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        separator = "[" + inner
+        for start in range(0, len(value), _CHUNK):
+            chunk = value[start:start + _CHUNK]
+            block = _number_block(chunk, depth)
+            if block is None:
+                for item in chunk:
+                    yield separator
+                    yield from report_pieces(item, depth + 1)
+                    separator = "," + inner
+            else:
+                yield separator + block
+                separator = "," + inner
+        yield "\n" + _INDENT * depth + "]"
+    else:
+        # json.dumps escapes every newline inside strings, so each raw one
+        # starts a line that must move in by this value's depth.
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + _INDENT * depth)
+
+
+def write_report(path: Path, report: dict) -> None:
+    """Write ``report`` as ``json.dumps(report, indent=2, sort_keys=True)`` and a newline.
+
+    The text goes to the file piece by piece, never as one string.
+    """
+    with open(path, "w") as handle:
+        handle.writelines(report_pieces(report))
+        handle.write("\n")

@@ -28,6 +28,13 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def read_report(path):
+    """Load a JSON report after checking it is laid out as json.dumps(indent=2, sort_keys=True)."""
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    return json.loads(text)
+
+
 def test_fit_writes_all_formats(rect_file, tmp_path, capsys):
     out = tmp_path / "out"
     code = run(
@@ -36,7 +43,7 @@ def test_fit_writes_all_formats(rect_file, tmp_path, capsys):
     )
     assert code == 0
     assert "converged" in capsys.readouterr().out
-    report = json.loads((out / "rect_fit.json").read_text())
+    report = read_report(out / "rect_fit.json")
     assert report["converged"] is True
     assert report["N_best"] == 8
     assert report["E_best"] < 1e-3
@@ -114,7 +121,7 @@ def test_lewis_mode_reports_the_seed(ellipse_file, tmp_path):
 def test_search_mode_emits_the_trace(ellipse_file, tmp_path):
     out = tmp_path / "out"
     assert run("search", "--input", ellipse_file, "--out", out, "--no-timing") == 0
-    report = json.loads((out / "ellipse_search.json").read_text())
+    report = read_report(out / "ellipse_search.json")
     assert report["per_N"]
     assert all(row["seconds"] == 0.0 for row in report["per_N"])
     assert report["nash_sutcliffe"]["ex"] > 0.997
@@ -125,7 +132,7 @@ def test_evaluate_accepts_a_fit_report(rect_file, tmp_path):
     run("fit", "--input", rect_file, "--n", "5", "--out", out, "--no-timing")
     code = run("evaluate", "--input", out / "rect_fit.json", "--out", out, "--samples", "33")
     assert code == 0
-    payload = json.loads((out / "rect_fit_evaluate.json").read_text())
+    payload = read_report(out / "rect_fit_evaluate.json")
     assert payload["samples"] == 33
     assert len(payload["contour"]) == 33
 
@@ -146,7 +153,16 @@ def test_evaluate_rejects_malformed_json(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "payload", [[1, 2], {"F": None, "a": [1.0]}, {"coefficients": [1]}]
+    "payload",
+    [
+        [1, 2],
+        {"F": None, "a": [1.0]},
+        {"coefficients": [1]},
+        {"F": 1.0, "a": [1.0, 0.1], "symmetric": "false"},
+        {"F": True, "a": [True, 0.1]},
+        {"F": "2", "a": ["1", "0.1"]},
+        {"F": 1.0, "a": [1.0, 10**400]},
+    ],
 )
 def test_evaluate_rejects_json_of_the_wrong_shape(tmp_path, capsys, payload):
     src = tmp_path / "coeffs.json"
@@ -154,6 +170,17 @@ def test_evaluate_rejects_json_of_the_wrong_shape(tmp_path, capsys, payload):
     assert run("evaluate", "--input", src, "--out", tmp_path) == 3
     assert capsys.readouterr().err.startswith("parse: ")
     assert not (tmp_path / "coeffs_evaluate.json").exists()
+
+
+@pytest.mark.parametrize("target", ["afile", "afile/sub"])
+def test_unusable_out_is_a_usage_error(rect_file, tmp_path, monkeypatch, capsys, target):
+    (tmp_path / "afile").write_text("not a directory\n")
+    monkeypatch.setattr(cli_mod, "fit_section", lambda *args: pytest.fail("fit ran"))
+    code = run("fit", "--input", rect_file, "--n", "5", "--out", tmp_path / target)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: --out ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("a", [[1.0, float("nan")], [1.0, float("inf")]])

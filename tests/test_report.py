@@ -2,10 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hullmap.errors import DimensionMismatchError
 from hullmap.fit import FitConfig, fit_symmetric
-from hullmap.report import AccuracyReport, build_report, nash_sutcliffe
+from hullmap.report import (
+    AccuracyReport,
+    build_report,
+    nash_sutcliffe,
+    report_pieces,
+    write_report,
+)
 from hullmap.search import search_optimum
 from hullmap.shapes import ellipse_section
 
@@ -60,7 +68,7 @@ def test_report_schema_for_a_plain_fit():
     assert len(report["mapped_contour"]) == 41
     assert report["unresolved_theta_indices"] == []
     assert "per_N" not in report
-    json.dumps(report)
+    assert "".join(report_pieces(report)) == json.dumps(report, indent=2, sort_keys=True)
 
 
 def test_report_includes_search_trace():
@@ -74,4 +82,70 @@ def test_report_includes_search_trace():
     rows = report["per_N"]
     assert [row["N"] for row in rows] == [rec.order for rec in outcome.per_order]
     assert all(set(row) == {"N", "E_min", "iterations", "seconds"} for row in rows)
-    json.dumps(report)
+    assert "".join(report_pieces(report)) == json.dumps(report, indent=2, sort_keys=True)
+
+
+# Values json spells in its own way, or that sit at the edges of float repr.
+EDGE_FLOATS = st.sampled_from(
+    [-0.0, 0.0, 1e-300, 5e-324, 1e22, 1e16, 0.1, -2.5, 1.7976931348623157e308]
+)
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), EDGE_FLOATS)
+STRINGS = st.one_of(
+    st.text(),
+    st.sampled_from(
+        ['"', "\\", "\n", "\t", "\x00", "\u2028", "caf\u00e9", "\U0001f6a2", "n", "inf"]
+    ),
+)
+SCALARS = st.one_of(
+    FLOATS,
+    NON_FINITE,
+    FLOATS.map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    STRINGS,
+)
+ROW_ITEMS = st.one_of(FLOATS, FLOATS.map(np.float64), NON_FINITE, st.integers())
+ROWS = st.one_of(
+    st.lists(FLOATS, min_size=1),
+    st.lists(st.lists(FLOATS, min_size=1, max_size=4), min_size=1),
+    st.lists(st.lists(ROW_ITEMS, max_size=4)),
+    st.lists(ROW_ITEMS),
+)
+PAYLOADS = st.recursive(
+    st.one_of(SCALARS, ROWS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(STRINGS, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150)
+@given(st.dictionaries(STRINGS, PAYLOADS, max_size=5))
+def test_report_pieces_match_json_dumps(payload):
+    assert "".join(report_pieces(payload)) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_lists_longer_than_one_piece_match_json_dumps():
+    floats = np.linspace(-1.0, 1.0, 700).tolist()
+    rows = np.column_stack([floats, floats]).tolist()
+    floats[300] = float("nan")
+    rows[600][1] = 3
+    payload = {"floats": floats, "rows": rows, "mixed": [*floats[:10], [1.0], *floats]}
+    assert "".join(report_pieces(payload)) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_write_report_ends_the_text_with_a_newline(tmp_path):
+    report = {
+        "b": [[0.5, -0.0], []],
+        "a": {"x": float("nan"), "y": [1, 2.0]},
+        "c": {},
+        "d": {2: [True], 1.5: None},
+    }
+    path = tmp_path / "report.json"
+    write_report(path, report)
+    assert path.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
