@@ -5,15 +5,16 @@
     hullmap evaluate --input coeffs.json [--samples 256] [--out DIR] [--emit ...]
     hullmap lewis    --input sec.txt [--out DIR] [--emit ...]
 
-Exit codes: 0 success, 2 usage (an unusable --out included), 3 parse or
-validation failure, 4 fit divergence, 5 search failure.  With --no-timing all
-reported wall times are written as 0.0 so repeated runs emit byte-identical
-files.
+Exit codes: 0 success, 2 usage (an unusable --out or output file included),
+3 parse or validation failure, 4 fit divergence, 5 search failure.  With
+--no-timing all reported wall times are written as 0.0 so repeated runs emit
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -50,7 +51,9 @@ class RunSpec:
     timing: bool
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="hullmap",
         description="Fit conformal mapping coefficients to 2D ship sections.",
@@ -168,23 +171,34 @@ def _coefficients_payload(coeffs: MappingCoefficients, symmetric: bool) -> dict:
     }
 
 
-def _emit(spec: RunSpec, stem: str, report: dict, contour, label: str, markers=None, lewis=None) -> None:
+def _emit(spec: RunSpec, stem: str, report: dict, contour, label: str, markers=None, lewis=None) -> bool:
     """Write ``report`` as json and, on request, ``contour`` as csv and a plot as svg.
 
     The plot draws the contour under ``label``, the Lewis seed of a symmetric
-    section when one is given, and the offsets as markers.
+    section when one is given, and the offsets as markers.  An output file
+    that cannot be written is a usage error: it is reported on stderr and
+    False is returned.
     """
     theta, x, y = contour
-    if "json" in spec.emit:
-        write_report(spec.out_dir / f"{stem}_{spec.mode}.json", report)
-    if "csv" in spec.emit:
-        _write_csv(spec.out_dir / f"{stem}_contour.csv", theta, x, y)
-    if "svg" in spec.emit:
-        curves = [(label, np.column_stack([x, y]))]
-        if lewis is not None:
-            _, lx, ly = _sample_contour(lewis, True, spec.samples)
-            curves.append(("lewis", np.column_stack([lx, ly])))
-        _write_svg(spec.out_dir / f"{stem}_plot.svg", curves, markers=markers)
+    path = spec.out_dir / f"{stem}_{spec.mode}.json"
+    try:
+        if "json" in spec.emit:
+            write_report(path, report)
+        if "csv" in spec.emit:
+            path = spec.out_dir / f"{stem}_contour.csv"
+            _write_csv(path, theta, x, y)
+        if "svg" in spec.emit:
+            curves = [(label, np.column_stack([x, y]))]
+            if lewis is not None:
+                _, lx, ly = _sample_contour(lewis, True, spec.samples)
+                curves.append(("lewis", np.column_stack([lx, ly])))
+            path = spec.out_dir / f"{stem}_plot.svg"
+            _write_svg(path, curves, markers=markers)
+    except OSError as exc:
+        print(f"usage: --out {spec.out_dir}: cannot write {path.name} ({exc.strerror})",
+              file=sys.stderr)
+        return False
+    return True
 
 
 def _is_number(value) -> bool:
@@ -229,7 +243,8 @@ def _run(spec: RunSpec) -> int:
         payload = _coefficients_payload(coeffs, symmetric)
         payload["samples"] = spec.samples
         payload["contour"] = np.column_stack(contour).tolist()
-        _emit(spec, stem, payload, contour, "contour")
+        if not _emit(spec, stem, payload, contour, "contour"):
+            return 2
         print(f"evaluated N={coeffs.order} at {spec.samples} angles")
         return 0
 
@@ -246,7 +261,8 @@ def _run(spec: RunSpec) -> int:
         payload = _coefficients_payload(lewis.coefficients, section.symmetric)
         payload["area_matched"] = lewis.area_matched
         contour = _sample_contour(lewis.coefficients, section.symmetric, spec.samples)
-        _emit(spec, stem, payload, contour, "lewis", section.points)
+        if not _emit(spec, stem, payload, contour, "lewis", section.points):
+            return 2
         print(f"lewis seed F={lewis.coefficients.scale:.6g} area_matched={lewis.area_matched}")
         return 0
 
@@ -269,7 +285,8 @@ def _run(spec: RunSpec) -> int:
         report["converged"] = result.converged
         report["iterations"] = result.iterations
         contour = _sample_contour(result.coefficients, section.symmetric, spec.samples)
-        _emit(spec, stem, report, contour, "mapped", section.points, overlay)
+        if not _emit(spec, stem, report, contour, "mapped", section.points, overlay):
+            return 2
         state = "converged" if result.converged else "stopped"
         print(f"fit {state}: N={spec.order} E={result.error:.6g} after {result.iterations} sweeps")
         return 0
@@ -290,7 +307,8 @@ def _run(spec: RunSpec) -> int:
         for row in report["per_N"]:
             row["seconds"] = 0.0
     contour = _sample_contour(best.coefficients, section.symmetric, spec.samples)
-    _emit(spec, stem, report, contour, "mapped", section.points, overlay)
+    if not _emit(spec, stem, report, contour, "mapped", section.points, overlay):
+        return 2
     print(
         f"search optimum: N={outcome.best_order} E={outcome.best_error:.6g} "
         f"({len(outcome.per_order)} accepted orders)"

@@ -33,11 +33,11 @@ class LinearSystem:
 
 def _derivative_rows(theta: np.ndarray, x: np.ndarray, y: np.ndarray, order: int, rows: np.ndarray):
     count = order + 1
-    cos_sums = np.cos(np.outer(2.0 * np.arange(count), theta)).sum(axis=1)
+    cos_sums = np.cos((2.0 * np.arange(count))[:, None] * theta).sum(axis=1)
     gap = np.abs(rows[:, None] - np.arange(count)[None, :])
     matrix = _alternating(count)[None, :] * cos_sums[gap]
     odd_rows = 2.0 * rows - 1.0
-    angles = np.outer(odd_rows, theta)
+    angles = odd_rows[:, None] * theta
     rhs = -np.sin(angles) @ x + np.cos(angles) @ y
     return matrix, rhs
 
@@ -94,19 +94,21 @@ def lu_solve(system: LinearSystem) -> ScaledCoefficients:
     norm = float(np.max(np.abs(a).sum(axis=1)))
     if norm == 0.0:
         raise SingularSystemError("zero matrix")
+    floor = PIVOT_FLOOR * norm
+    # The right-hand side rides along as column n, so that each row swap and
+    # each update of the trailing columns carries it in the same call.
+    a = np.column_stack([a, b])
     for k in range(n - 1):
         p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) < PIVOT_FLOOR * norm:
+        if abs(a[p, k]) < floor:
             raise SingularSystemError(f"pivot below threshold at column {k}")
         if p != k:
             a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
         factors = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k + 1 :] -= np.outer(factors, a[k, k + 1 :])
-        b[k + 1 :] -= factors * b[k]
-    if abs(a[n - 1, n - 1]) < PIVOT_FLOOR * norm:
+        a[k + 1 :, k + 1 :] -= factors[:, None] * a[k, k + 1 :]
+    if abs(a[n - 1, n - 1]) < floor:
         raise SingularSystemError(f"pivot below threshold at column {n - 1}")
     x = np.empty(n)
     for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
+        x[k] = (a[k, n] - a[k, k + 1 : n] @ x[k + 1 :]) / a[k, k]
     return ScaledCoefficients(x)

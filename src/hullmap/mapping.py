@@ -17,6 +17,7 @@ again once a fit has settled.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import inf, pi, sqrt
 
@@ -25,12 +26,20 @@ import numpy as np
 from .errors import DimensionMismatchError
 
 
+# The two per-order factors of the series, built once per length because
+# every sweep of a fit needs them several times; they are read-only.
+@functools.cache
 def _odd_multiples(count: int) -> np.ndarray:
-    return 2.0 * np.arange(count) - 1.0
+    odd = 2.0 * np.arange(count) - 1.0
+    odd.setflags(write=False)
+    return odd
 
 
+@functools.cache
 def _alternating(count: int) -> np.ndarray:
-    return np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
+    signs = np.where(np.arange(count) % 2 == 0, 1.0, -1.0)
+    signs.setflags(write=False)
+    return signs
 
 
 @dataclass(frozen=True)

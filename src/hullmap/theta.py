@@ -32,14 +32,24 @@ sign decided either way equals the float residual's, the brackets, the open
 rows and so the grouping of every exact call stay as they were, and the
 roots stay bit-identical.  `_batch_roots` derives the bounds.
 
+While every open bracket is certified, the bisection runs its steps in
+blocks: in-place halvings whose doubt tests are made for the whole block at
+once, as many steps as no open bracket can close in.  At the block's first
+doubtful step it rolls the brackets back to that step and makes the exact
+call there, on all the open rows, so every exact call happens at the same
+step with the same rows as it would one step at a time.  A section's
+normals depend only on its read-only points and are built on its first
+sweep.
+
 A point whose residual never changes sign inside its bracket keeps moving by
 linear extrapolation from its two predecessors and is reported as unresolved.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from math import hypot, pi
+from math import frexp, hypot, ldexp, pi
 
 import numpy as np
 
@@ -132,6 +142,34 @@ def _free_normals(section: SectionOffsets) -> np.ndarray:
     if not section.symmetric:
         secants = np.vstack([pts[1] - pts[0], secants, pts[-1] - pts[-2]])
     return _unit_normals(secants)
+
+
+# Per-section sweep invariants, keyed by the section object: a section's
+# points are read-only, so its rows are built on its first sweep and dropped
+# with the section.
+_FREE_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _free_rows(section: SectionOffsets) -> tuple:
+    """The solved points' indices, their bracketing neighbours' indices, points and normals.
+
+    Built once per section; the arrays are read-only.
+    """
+    rows = _FREE_ROWS.get(section)
+    if rows is None:
+        last = len(section.points) - 1
+        free = np.arange(1, last) if section.symmetric else np.arange(last + 1)
+        rows = (
+            free,
+            np.maximum(free - 1, 0),
+            np.minimum(free + 1, last),
+            section.points[free],
+            _free_normals(section),
+        )
+        for array in rows:
+            array.setflags(write=False)
+        _FREE_ROWS[section] = rows
+    return rows
 
 
 def section_normals(section: SectionOffsets) -> list:
@@ -239,6 +277,67 @@ def _enclosures(terms, sums, xc, ys, cos_phi, sin_phi, a, b, a_neg):
     return r, eta
 
 
+def _block_length(width: float, tol: float, t_max: float) -> int:
+    """Bisection steps that no bracket at least ``width`` wide can close in.
+
+    That is 1 + the largest j with width >= tau * 2**j, and 1 if there is
+    none, for tau = tol + 4u (tol + t_max) and brackets inside
+    [-t_max, t_max]; `_batch_roots` derives it.
+    """
+    tau = tol + 4.0 * _UNIT * (tol + t_max)
+    exponent = frexp(width / tau)[1]
+    if ldexp(tau, exponent - 1) > width:
+        exponent -= 1
+    return max(exponent, 1)
+
+
+def _certified_steps(brackets, r, eta, count):
+    """Up to ``count`` bisection steps decided by the certificate, in place.
+
+    ``brackets`` holds the rows' lower ends over their upper ends.  Every
+    step records its midpoints and which end each moved, so the block takes
+    one doubt test at its end.  The first step is tested before the rest
+    run, because a row whose root sits at its bracket's centre doubts there,
+    and that is common: a scan has an odd number of intervals, so evenly
+    spaced angles put roots on the centre interval's midpoint.  Returns
+    ``(count, None)`` when every midpoint cleared its row's zone of doubt.
+    Otherwise, for the first step ``j`` with a midpoint inside one, it rolls
+    ``brackets`` back to what that step started from and returns
+    ``(j, mids[j])``.
+    """
+    lo, hi = brackets
+    first = 0.5 * (lo + hi)
+    if not (np.abs(first - r) > eta).all():
+        return 0, first
+    # Each step's midpoints sit between two copies of r, so that one
+    # comparison of overlapping rows gives r > mid (the lower end moves)
+    # over mid > r (the upper end moves).
+    steps = np.empty((count, 3, lo.size))
+    steps[:, ::2] = r
+    mids = steps[:, 1]
+    moves = np.empty((count, 2, lo.size), dtype=bool)
+    start = brackets.copy()
+    # The same product as 0.5 * (lo + hi); numpy multiplies by an array of
+    # halves faster than by a Python float.
+    half = np.full(lo.size, 0.5)
+    for mid, lower, upper, move in zip(mids, steps[:, :2], steps[:, 1:], moves):
+        np.add(lo, hi, out=mid)
+        np.multiply(mid, half, out=mid)
+        np.greater(lower, upper, out=move)
+        np.copyto(brackets, mid, where=move)
+    sure = np.logical_and.reduce(np.abs(mids - r) > eta, axis=1)
+    j = int(sure.argmin())
+    if sure[j]:
+        return count, None
+    # Lower ends only rise and upper ends only fall, each to a midpoint
+    # strictly inside its bracket, so step j's ends are the extreme
+    # midpoints that moved them before it (r and mid differ at sure steps).
+    moved = np.where(moves[:j], mids[:j, None], start)
+    np.maximum.reduce(moved[:, 0], axis=0, out=lo)
+    np.minimum.reduce(moved[:, 1], axis=0, out=hi)
+    return j, mids[j]
+
+
 def _batch_roots(
     scaled: ScaledCoefficients,
     points: np.ndarray,
@@ -312,21 +411,51 @@ def _batch_roots(
     is the call the bisection made before the certificate.  Every decision
     equals the float sign's, so the brackets, the open rows and the grouping
     of every call are unchanged, and so are the roots, bit for bit.
+
+    Blocks.  While every open row is certified, the steps run in blocks
+    (`_certified_steps`): each step halves the brackets in place and
+    records its midpoints and masks, and the doubt tests are made for the
+    first step and then for the whole block at once.  A block holds only
+    steps that no open bracket can close in, so it skips no width check
+    that would have closed a row.  With T = max |lo|, |hi| over the rows,
+    the midpoint fl(a + b) / 2 lies within u T of (a + b) / 2, so a bracket
+    of true width W is at least W / 2 - u T wide one step on, and at least
+    W / 2**j - 2 u T after j steps; rounding its computed width costs a
+    factor 1 - u.  A computed narrowest width w >= tau 2**j,
+    tau = tol + 4u (tol + T), therefore keeps every computed width above
+    tol for j more steps, and `_block_length` gives the block 1 + the
+    largest such j steps.  If some midpoint lies in its row's zone of
+    doubt, the first such step j is redone: its brackets are rebuilt from
+    the recorded midpoints, and the exact call is made on its open rows,
+    which are all the rows of the block.  So each exact call falls on the
+    same step, with the same rows in the same order, as in the step-by-step
+    bisection.
     """
     roots: list[float | None] = [None] * len(points)
     usable = np.flatnonzero(lo < hi)
     if not usable.size:
         return roots
-    c, s = normals[usable, 0], normals[usable, 1]
-    xc, ys = points[usable, 0] * c, points[usable, 1] * s
-    grid = np.linspace(lo[usable], hi[usable], SCAN_SAMPLES, axis=-1)
+    if usable.size < len(points):
+        points, normals, lo, hi = points[usable], normals[usable], lo[usable], hi[usable]
+    c, s = normals[:, 0], normals[:, 1]
+    xc, ys = points[:, 0] * c, points[:, 1] * s
+    # linspace's own arithmetic, k * step + lo with hi as the last sample,
+    # without its overhead; a step that underflows to zero takes linspace's
+    # other branch.
+    step = (hi - lo) / (SCAN_SAMPLES - 1)
+    if step.all():
+        grid = np.multiply.outer(step, np.arange(SCAN_SAMPLES, dtype=float))
+        grid += lo[:, None]
+        grid[:, -1] = hi
+    else:
+        grid = np.linspace(lo, hi, SCAN_SAMPLES, axis=-1)
     terms = _series_terms(scaled.values)
     fa = np.abs(scaled.values)
     mult = np.abs(terms[0])
     sums = (len(fa), fa.sum(), fa @ mult, fa @ (mult * mult))
     count, low, high, _ = sums
     cs, xys = np.abs(c) + np.abs(s), np.abs(xc) + np.abs(ys)
-    t_abs = np.maximum(np.abs(lo[usable]), np.abs(hi[usable]))
+    t_abs = np.maximum(np.abs(lo), np.abs(hi))
     res = _horner_residual(scaled.values, xc[:, None], ys[:, None], c[:, None], s[:, None], grid)
     doubt = _rounding_bound(cs, t_abs, low, high, count, xys) + _horner_bound(cs, low, high, count, xys)
     if not (np.abs(res) > doubt[:, None]).all():
@@ -336,7 +465,8 @@ def _batch_roots(
     # sign changes, inf where there is no candidate: argmin returns the first
     # nearest candidate in that order.
     zero = res == 0.0
-    flip = np.sign(res[:, :-1]) * np.sign(res[:, 1:]) < 0.0
+    neg, pos = res < 0.0, res > 0.0
+    flip = (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
     hint = prefer[usable, None]
     keys = np.concatenate(
         [
@@ -354,37 +484,47 @@ def _batch_roots(
     jobs = np.flatnonzero(found & (pick >= SCAN_SAMPLES))
     k = left[jobs]
     b_lo, b_hi = grid[jobs, k], grid[jobs, k + 1]
-    lo_neg = res[jobs, k] < 0.0
+    lo_neg = neg[jobs, k]
     xc, ys, c, s = xc[jobs], ys[jobs], c[jobs], s[jobs]
     r, eta = _enclosures(terms, sums, xc, ys, c, s, b_lo, b_hi, lo_neg)
+    # All a residual call or a block reads about a row, one column per row,
+    # so that closing rows drops them with one index.
+    state = np.stack([b_lo, b_hi, xc, ys, c, s, r, eta])
+    certified = bool(np.isfinite(eta).all())
+    t_max = float(t_abs.max())
     # Each residual call holds exactly the brackets still open, in row order
     # (see the module docstring for why the grouping matters).
-    for _ in range(MAX_BISECTIONS):
-        still_open = (b_hi - b_lo) > tol
+    steps = 0
+    while steps < MAX_BISECTIONS:
+        width = state[1] - state[0]
+        still_open = width > tol
         if np.count_nonzero(still_open) < jobs.size:
             closed = ~still_open
-            out[jobs[closed]] = 0.5 * (b_lo[closed] + b_hi[closed])
-            jobs, b_lo, b_hi, lo_neg, xc, ys, c, s, r, eta = (
-                v[still_open] for v in (jobs, b_lo, b_hi, lo_neg, xc, ys, c, s, r, eta)
-            )
+            out[jobs[closed]] = 0.5 * (state[0, closed] + state[1, closed])
+            state, jobs, lo_neg, width = state[:, still_open], jobs[still_open], lo_neg[still_open], width[still_open]
+            certified = bool(np.isfinite(state[7]).all())
         if not jobs.size:
             break
-        mid = 0.5 * (b_lo + b_hi)
-        offset = mid - r
-        if (np.abs(offset) > eta).all():
-            shrink_hi = offset > 0.0
-            f_mid = None
+        brackets = state[:2]
+        if certified:
+            count = min(_block_length(float(width.min()), tol, t_max), MAX_BISECTIONS - steps)
+            done, mid = _certified_steps(brackets, state[6], state[7], count)
+            steps += done
+            if mid is None:
+                continue
         else:
-            f_mid = _residual(terms, xc, ys, c, s, mid)
-            shrink_hi = lo_neg != (f_mid < 0.0)
-        b_lo = np.where(shrink_hi, b_lo, mid)
-        b_hi = np.where(shrink_hi, mid, b_hi)
-        if f_mid is not None and np.count_nonzero(f_mid) < jobs.size:
+            mid = 0.5 * (state[0] + state[1])
+        f_mid = _residual(terms, state[2], state[3], state[4], state[5], mid)
+        steps += 1
+        shrink_hi = lo_neg != (f_mid < 0.0)
+        np.copyto(brackets[1], mid, where=shrink_hi)
+        np.copyto(brackets[0], mid, where=~shrink_hi)
+        if np.count_nonzero(f_mid) < jobs.size:
             # An exact zero collapses the bracket onto mid, which the next
             # width check closes with 0.5 * (mid + mid) == mid.
             hit = f_mid == 0.0
-            b_lo[hit] = b_hi[hit] = mid[hit]
-    out[jobs] = 0.5 * (b_lo + b_hi)
+            brackets[:, hit] = mid[hit]
+    out[jobs] = 0.5 * (state[0] + state[1])
     for k, root in zip(usable[found].tolist(), out[found].tolist()):
         roots[k] = root
     return roots
@@ -425,7 +565,6 @@ def assign_thetas(
         raise ConfigurationError("need at least one free coefficient to assign angles")
     pts = section.points
     count = len(pts)
-    last = count - 1
     if section.symmetric:
         theta_min, theta_max = 0.0, pi / 2.0
     else:
@@ -437,16 +576,16 @@ def assign_thetas(
     else:
         prev = previous.theta
 
-    free = np.arange(1, last) if section.symmetric else np.arange(count)
+    free, before, after, free_points, normals = _free_rows(section)
     if first_sweep:
         # The seed angles carry no neighbour history worth trusting, so every
         # point scans the whole domain and keeps the root nearest its seed.
         lo = np.full(len(free), theta_min)
         hi = np.full(len(free), theta_max)
     else:
-        lo = np.maximum(prev[np.maximum(free - 1, 0)] - BRACKET_SLACK, theta_min)
-        hi = np.minimum(prev[np.minimum(free + 1, last)] + BRACKET_SLACK, theta_max)
-    roots = _batch_roots(scaled, pts[free], _free_normals(section), lo, hi, prev[free])
+        lo = np.maximum(prev[before] - BRACKET_SLACK, theta_min)
+        hi = np.minimum(prev[after] + BRACKET_SLACK, theta_max)
+    roots = _batch_roots(scaled, free_points, normals, lo, hi, prev[free])
     if section.symmetric:
         roots = [0.0, *roots, pi / 2.0]
 

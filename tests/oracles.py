@@ -2,16 +2,19 @@
 
 Everything here is written from the defining formula, independent of the
 library's own code paths, so a shared bug cannot hide in both sides.  The
-one exception is `lockstep_bisect_roots`, an earlier version of the
-library's batched angle solver kept as a bit-exact reference: it shares the
+exceptions are bit-exact references kept from earlier versions of the
+library: `lockstep_bisect_roots`, the batched angle solver, which shares the
 library's series kernel on purpose, so that any difference in its roots
-comes from the solver alone.
+comes from the solver alone; and `outer_lu_solve`, the elimination with one
+`np.outer` update per column.
 """
 
 from itertools import permutations
 
 import numpy as np
 
+from hullmap.errors import SingularSystemError
+from hullmap.linsys import PIVOT_FLOOR
 from hullmap.mapping import _boundary, _series_terms
 from hullmap.theta import MAX_BISECTIONS, SCAN_SAMPLES, THETA_TOL
 
@@ -55,6 +58,37 @@ def cramer_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         patched[:, col] = b
         out[col] = det_by_permutations(patched) / d
     return out
+
+
+def outer_lu_solve(matrix, rhs) -> np.ndarray:
+    """Gaussian elimination with partial pivoting, as the library once computed it.
+
+    Each column's update of the trailing block is one ``np.outer``, and the
+    pivot floor is formed again for every test.  Raises `SingularSystemError`
+    where the library does.
+    """
+    a = np.array(matrix, dtype=float)
+    b = np.array(rhs, dtype=float)
+    n = a.shape[0]
+    norm = float(np.max(np.abs(a).sum(axis=1)))
+    if norm == 0.0:
+        raise SingularSystemError("zero matrix")
+    for k in range(n - 1):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        if abs(a[p, k]) < PIVOT_FLOOR * norm:
+            raise SingularSystemError(f"pivot below threshold at column {k}")
+        if p != k:
+            a[[k, p]] = a[[p, k]]
+            b[[k, p]] = b[[p, k]]
+        factors = a[k + 1 :, k] / a[k, k]
+        a[k + 1 :, k + 1 :] -= np.outer(factors, a[k, k + 1 :])
+        b[k + 1 :] -= factors * b[k]
+    if abs(a[n - 1, n - 1]) < PIVOT_FLOOR * norm:
+        raise SingularSystemError(f"pivot below threshold at column {n - 1}")
+    x = np.empty(n)
+    for k in range(n - 1, -1, -1):
+        x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
+    return x
 
 
 def shoelace_area(points: np.ndarray) -> float:

@@ -183,6 +183,31 @@ def test_unusable_out_is_a_usage_error(rect_file, tmp_path, monkeypatch, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "mode, blocked, emit",
+    [("lewis", "rect_lewis.json", "json"), ("fit", "rect_contour.csv", "json,csv")],
+)
+def test_an_output_file_that_cannot_be_opened_is_a_usage_error(
+    rect_file, tmp_path, capsys, mode, blocked, emit
+):
+    out = tmp_path / "o3"
+    (out / blocked).mkdir(parents=True)
+    extra = ["--n", "5", "--sigma-e", "1e-2"] if mode == "fit" else []
+    code = run(mode, "--input", rect_file, *extra, "--out", out, "--emit", emit)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: --out {out}: cannot write {blocked} (")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_the_parser_is_built_once_per_process(rect_file, tmp_path):
+    parser = cli_mod._parser()
+    assert run("lewis", "--input", rect_file, "--out", tmp_path) == 0
+    assert run("fit", "--input", rect_file, "--out", tmp_path) == 2
+    assert cli_mod._parser() is parser
+
+
 @pytest.mark.parametrize("a", [[1.0, float("nan")], [1.0, float("inf")]])
 def test_evaluate_rejects_non_finite_coefficients(tmp_path, capsys, a):
     src = tmp_path / "coeffs.json"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hullmap.mapping import _alternating
 from hullmap.section import from_points
 from hullmap.theta import ThetaAssignment
 
-from oracles import cramer_solve, det_by_permutations
+from oracles import cramer_solve, det_by_permutations, outer_lu_solve
 
 
 def _section3():
@@ -132,6 +134,39 @@ def test_lu_matches_cramer_on_dominant_systems(seed):
     got = lu_solve(LinearSystem(a, b, False)).values
     want = cramer_solve(a, b)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+def _system(kind: str, seed: int):
+    """A random, a pivoting or a near-singular system of 1 to 100 unknowns."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 13)) if seed % 4 else int(rng.integers(13, 101))
+    a = rng.normal(size=(n, n))
+    if kind == "pivoting":
+        # Small leading entries in every column force a swap at each step.
+        a[np.triu_indices(n)] *= 1e-3
+        a = a[rng.permutation(n)]
+    elif kind == "near-singular":
+        # Singular values reaching down around the pivot floor, so some
+        # systems pass and some raise.
+        u, _, vt = np.linalg.svd(a)
+        a = (u * np.logspace(0.0, -float(rng.uniform(10.0, 18.0)), n)) @ vt
+    return a, rng.normal(size=n)
+
+
+@given(
+    st.sampled_from(["random", "pivoting", "near-singular"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150)
+def test_lu_equals_the_outer_product_elimination_bit_for_bit(kind, seed):
+    a, b = _system(kind, seed)
+    try:
+        want = outer_lu_solve(a, b)
+    except SingularSystemError as exc:
+        with pytest.raises(SingularSystemError, match=f"^{re.escape(str(exc))}$"):
+            lu_solve(LinearSystem(a, b, False))
+        return
+    assert lu_solve(LinearSystem(a, b, False)).values.tobytes() == want.tobytes()
 
 
 def test_solved_symmetric_system_reproduces_the_constraints():

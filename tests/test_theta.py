@@ -9,6 +9,7 @@ import hullmap.theta as theta_mod
 from hullmap.errors import ConfigurationError, DegenerateNormalError, FitAbortError
 from hullmap.fit import FitConfig, fit_section
 from hullmap.mapping import ScaledCoefficients, boundary_from_scaled
+from hullmap.shapes import rectangle_section
 from hullmap.theta import (
     NormalDirection,
     ThetaAssignment,
@@ -344,11 +345,15 @@ def test_rounding_bounds_hold_against_40_digit_arithmetic(seed):
 
 
 class _CountingResidual:
-    """Stands in for `theta._residual`, counting scan (2-d) and bisection calls."""
+    """Stands in for `theta._residual`, counting scan (2-d) and bisection calls.
+
+    ``angles`` lists the angles of each bisection call.
+    """
 
     def __init__(self, monkeypatch):
         self.real = theta_mod._residual
         self.scans = self.steps = 0
+        self.angles = []
         monkeypatch.setattr(theta_mod, "_residual", self)
 
     def __call__(self, terms, xc, ys, c, s, theta):
@@ -356,6 +361,7 @@ class _CountingResidual:
             self.scans += 1
         else:
             self.steps += 1
+            self.angles.append(np.array(theta))
         return self.real(terms, xc, ys, c, s, theta)
 
 
@@ -393,6 +399,85 @@ def test_a_midpoint_in_the_zone_of_doubt_forces_an_exact_step(monkeypatch):
     assert counter.scans == 0 and counter.steps >= 1
     assert got == at.tolist()
     assert got == _lockstep(CIRCLE, pts, normals, lo, hi, at)
+
+
+def _bisection_midpoint(a, b, turns):
+    """The midpoint the bisection of [a, b] tries after halving toward ``turns``.
+
+    Each turn is "lower" or "upper", the half kept at that step.
+    """
+    for turn in turns:
+        mid = 0.5 * (a + b)
+        a, b = (a, mid) if turn == "lower" else (mid, b)
+    return 0.5 * (a + b)
+
+
+def test_doubt_in_mid_block_rolls_back_to_that_step(monkeypatch):
+    # Unit-circle rows (sin t, y) against the normal (1, 0), whose float
+    # residual is exactly zero at theta = t.  Row 0 puts t on the midpoint
+    # its bisection tries at step 6, after six steps the certificate decides;
+    # row 1 on its first midpoint; row 2's root is on no midpoint.  The
+    # first block stops at step 0 for row 1 and makes the exact call on all
+    # three rows; row 1 closes on its zero.  The next block runs from step 1
+    # and stops five steps in for row 0, rolls back to that step, and makes
+    # the exact call on rows 0 and 2, at their step-6 midpoints.
+    lo, hi = np.array([0.1, -0.2, 0.25]), np.array([0.9, 0.5, 1.05])
+    grid = np.linspace(lo, hi, theta_mod.SCAN_SAMPLES, axis=-1)
+    at = np.array(
+        [
+            _bisection_midpoint(
+                grid[0, 20], grid[0, 21], ["lower", "upper", "upper", "lower", "upper", "lower"]
+            ),
+            _bisection_midpoint(grid[1, 40], grid[1, 41], []),
+            0.5,
+        ]
+    )
+    x = boundary_from_scaled(CIRCLE.values, at)[0]
+    x[2] = 0.4
+    pts = np.column_stack([x, [0.3, 0.6, 0.9]])
+    normals = np.tile([1.0, 0.0], (3, 1))
+    prefer = np.array([at[0], at[1], np.arcsin(0.4)])
+    counter = _CountingResidual(monkeypatch)
+    got = _batch_roots(CIRCLE, pts, normals, lo, hi, prefer)
+    assert counter.scans == 0
+    assert [len(angles) for angles in counter.angles] == [3, 2]
+    # Row 2's bisection keeps the half of its scan interval holding asin(0.4).
+    k = int(np.searchsorted(grid[2], asin(0.4))) - 1
+    a, b = grid[2, k], grid[2, k + 1]
+    for _ in range(6):
+        mid = 0.5 * (a + b)
+        a, b = (a, mid) if sin(mid) > 0.4 else (mid, b)
+    assert counter.angles[1].tolist() == [at[0], 0.5 * (a + b)]
+    assert got[:2] == at[:2].tolist()
+    assert got == _lockstep(CIRCLE, pts, normals, lo, hi, prefer)
+
+
+def test_a_bracket_whose_scan_step_underflows_is_sampled_as_linspace_samples_it():
+    # The first bracket is 20 subnormal ulps wide, so its scan step
+    # 1e-322 / 63 rounds to zero.  linspace then spreads k / 63 * width over
+    # the bracket, which puts a sample on the root 3e-323 of x - sin(theta),
+    # x = 3e-323; k * step + lo would not.
+    pts = np.array([[3e-323, 0.5], [0.5, 0.5]])
+    normals = np.tile([1.0, 0.0], (2, 1))
+    lo, hi = np.array([0.0, 0.1]), np.array([1e-322, 0.9])
+    got = _batch_roots(CIRCLE, pts, normals, lo, hi, np.array([0.0, 0.5]))
+    assert got[0] == 3e-323
+    assert got == _lockstep(CIRCLE, pts, normals, lo, hi, np.array([0.0, 0.5]))
+
+
+def test_a_fit_builds_its_normals_once(monkeypatch):
+    section = rectangle_section(41, breadth=2.0, draft=1.0)
+    built = []
+    real = theta_mod._free_normals
+
+    def counted(sec):
+        built.append(sec)
+        return real(sec)
+
+    monkeypatch.setattr(theta_mod, "_free_normals", counted)
+    result = fit_section(section, FitConfig(5, 1e-8))
+    assert result.iterations > 1
+    assert built == [section]
 
 
 def test_three_roots_in_one_scan_interval_leave_the_row_uncertified(monkeypatch):
