@@ -1,14 +1,20 @@
-"""Print one SHA-256 digest over the full trajectories of a fixed set of fits.
+"""Print two SHA-256 digests: the trajectories of a fixed set of fits, then the gallery searches.
 
 Usage: PYTHONPATH=src python scripts/trajectory_digest.py [--verbose]
 
-The fits are the four gallery shapes (rectangle, bulb, fine, chine; 41
-points each), circle41 and heeled_rectangle(21, 15 deg), each at N = 5, 8
-and 12, plus rectangle41 and bulb41 at N = 30 and 60 (the angle solver's
-rounding bounds grow with N), all to tolerance 1e-8 * scale^2.  The digest
-covers the raw bytes of every fit's error_history, fa_history, each sweep's
-angles and unresolved set, and mapped_points.  A fit that raises contributes its exception type
-and message instead.
+The first line covers fits of the four gallery shapes (rectangle, bulb,
+fine, chine; 41 points each), circle41 and heeled_rectangle(21, 15 deg),
+each at N = 5, 8 and 12, plus rectangle41 and bulb41 at N = 30 and 60 (the
+angle solver's rounding bounds grow with N), all to tolerance
+1e-8 * scale^2.  It covers the raw bytes of every fit's error_history,
+fa_history, each sweep's angles and unresolved set, and mapped_points.  A
+fit that raises contributes its exception type and message instead.
+
+The second line covers `search_optimum(section, (5, 7))` of the four
+gallery shapes, the searches of perfbench's search-gallery workload: each
+report's per_order records without their seconds, tolerance_trace, best
+order and error, and the bytes of best_fit's last coefficient vector,
+angles and mapped points.
 
 hullmap is imported from whatever tree is on PYTHONPATH, so running the
 script against two checkouts shows whether a change keeps every trajectory
@@ -24,6 +30,7 @@ import numpy as np
 import hullmap
 from hullmap.errors import HullmapError
 from hullmap.fit import FitConfig, fit_section
+from hullmap.search import search_optimum
 from hullmap.shapes import (
     bulb_section,
     chine_section,
@@ -43,6 +50,8 @@ SECTIONS = {
 }
 ORDERS = (5, 8, 12)
 HIGH_ORDERS = {"rectangle41": (30, 60), "bulb41": (30, 60)}
+GALLERY = ("rectangle41", "bulb41", "fine41", "chine41")
+SEARCH_ORDERS = (5, 7)
 
 
 def _fit_bytes(section, order: int) -> bytes:
@@ -60,21 +69,45 @@ def _fit_bytes(section, order: int) -> bytes:
     return b"".join(parts)
 
 
+def _search_bytes(section) -> bytes:
+    try:
+        report = search_optimum(section, SEARCH_ORDERS)
+    except HullmapError as exc:
+        return f"{type(exc).__name__}: {exc}".encode()
+    records = [(r.order, r.e_min, r.iterations) for r in report.per_order]
+    fit = report.best_fit
+    parts = [
+        np.array(records, dtype=float).tobytes(),
+        np.array(report.tolerance_trace, dtype=float).tobytes(),
+        np.array([report.best_order, report.best_error], dtype=float).tobytes(),
+        np.asarray(fit.fa_history[-1], dtype=float).tobytes(),
+        fit.thetas.theta.tobytes(),
+        np.asarray(fit.mapped_points, dtype=float).tobytes(),
+    ]
+    return b"".join(parts)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--verbose", action="store_true", help="also print one digest per fit")
+    parser.add_argument("--verbose", action="store_true", help="also print one digest per fit and search")
     args = parser.parse_args()
-    total = hashlib.sha256()
+    fits, searches = hashlib.sha256(), hashlib.sha256()
     for name, build in SECTIONS.items():
         section = build()
         for order in ORDERS + HIGH_ORDERS.get(name, ()):
             blob = _fit_bytes(section, order)
-            total.update(blob)
+            fits.update(blob)
             if args.verbose:
                 print(f"{name} N={order}: {hashlib.sha256(blob).hexdigest()}")
+        if name in GALLERY:
+            blob = _search_bytes(section)
+            searches.update(blob)
+            if args.verbose:
+                print(f"{name} search {SEARCH_ORDERS}: {hashlib.sha256(blob).hexdigest()}")
     if args.verbose:
         print(f"hullmap from {hullmap.__file__}")
-    print(total.hexdigest())
+    print(fits.hexdigest())
+    print(searches.hexdigest())
 
 
 if __name__ == "__main__":

@@ -91,11 +91,19 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     )
 
 
+# `_write_csv` formats each run of up to this many rows with one
+# %-operation, from Python floats made for that run alone; '%.12g' % v
+# spells every float, nan, inf and -0.0 included, as format(v, '.12g') does.
+_CSV_ROWS = 256
+
+
 def _write_csv(path: Path, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
-    row = "{:.12g},{:.12g},{:.12g}\n".format
     with open(path, "w") as handle:
         handle.write("theta,x,y\n")
-        handle.writelines(map(row, theta.tolist(), x.tolist(), y.tolist()))
+        for start in range(0, len(theta), _CSV_ROWS):
+            rows = slice(start, start + _CSV_ROWS)
+            part = np.column_stack([theta[rows], x[rows], y[rows]]).ravel().tolist()
+            handle.write("%.12g,%.12g,%.12g\n" * (len(part) // 3) % tuple(part))
 
 
 def _write_svg(path: Path, curves, markers=None, size: int = 640) -> None:

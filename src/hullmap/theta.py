@@ -6,11 +6,11 @@ Normals come from secants through neighbouring points, so they depend only on
 the geometry and stay fixed while the coefficients iterate.  The angle
 condition is the scalar root of a residual that is linear in the scaled
 coefficients.  `_batch_roots` is the one solver: it brackets every point's
-root by a uniform scan, picks each point's candidate with one vectorised
-argmin over the whole scan, and polishes all of them by bisection in
-lockstep.  The residual evaluates the boundary through `mapping._boundary`,
-the package's one evaluation of the odd-harmonic series, with the series
-terms built once per sweep.
+root by a uniform scan, picks each point's candidate, the one nearest its
+previous angle, and polishes all of them by bisection in lockstep.  The
+residual evaluates the boundary through `mapping._boundary`, the package's
+one evaluation of the odd-harmonic series, with the series terms built once
+per sweep.
 
 Which rows share each residual call is part of the numerical result: the
 series ends in a matrix-vector product whose rounding of a row can depend
@@ -27,17 +27,28 @@ interval where the residual is proved monotone.  Each comes with a rigorous
 bound on its distance from the float residual, and a sign is taken from it
 only where the value clears that bound.  Where any sign is in doubt, the
 solver makes the exact call it always made, on the same rows: the whole grid
-for the scan, exactly the open brackets for a bisection step.  Since every
-sign decided either way equals the float residual's, the brackets, the open
-rows and so the grouping of every exact call stay as they were, and the
-roots stay bit-identical.  `_batch_roots` derives the bounds.
+of every row for the scan, all the open brackets for a bisection step.
+Since every sign decided either way equals the float residual's, the
+brackets, the open rows and so the grouping of every exact call stay as they
+were, and the roots stay bit-identical.  A certificate may only ever remove
+exact calls, never add, move or regroup one.  `_batch_roots` derives the
+bounds.
+
+The scan first looks only at the 4 samples around each point's previous
+angle.  Where their signs are certified and hold a sign change strictly
+nearer that angle than every sample and interval midpoint outside them, the
+full scan could pick nothing else, so the point takes that pick; the other
+points scan the whole grid.  The distances are the full pick's own float
+keys, and they grow away from the angle on each side, so the nearest outside
+midpoint on each side stands for everything outside.
 
 While every open bracket is certified, the bisection runs its steps in
-blocks: in-place halvings whose doubt tests are made for the whole block at
-once, as many steps as no open bracket can close in.  At the block's first
-doubtful step it rolls the brackets back to that step and makes the exact
-call there, on all the open rows, so every exact call happens at the same
-step with the same rows as it would one step at a time.  A section's
+blocks of in-place halvings, as many as no open bracket can close in, so
+every step of a block holds all its rows open.  A step with a midpoint in
+doubt makes its exact call on all those rows; the block keeps its path
+while each such call moves the ends the certificate moved, and rolls back
+to the first step whose call does not.  So every exact call happens at the
+same step with the same rows as it would one step at a time.  A section's
 normals depend only on its read-only points and are built on its first
 sweep.
 
@@ -251,18 +262,17 @@ def _value_and_slope(odd, sin_weights, cos_weights, xc, ys, cos_phi, sin_phi, th
     return value, slope
 
 
-def _enclosures(terms, sums, xc, ys, cos_phi, sin_phi, a, b, a_neg):
+def _enclosures(series, sums, xc, ys, cos_phi, sin_phi, cs, xys, a, b, a_neg):
     """Root estimates r and half-widths eta of the zones where a sign is in doubt.
 
     Row k's residual is proved monotone on ``[a[k], b[k]]``, with the sign
     ``a_neg[k]`` at its lower end, and every t there with |t - r| > eta has
     the float residual's sign of (t - r) * slope; rows without that proof get
-    eta = inf.  ``sums`` holds K, A, B and B2 (see `_batch_roots`).
+    eta = inf.  ``series`` holds the arguments (odd, sin_weights,
+    cos_weights) of `_value_and_slope`, ``sums`` K, A, B and B2, ``cs``
+    |cos_phi| + |sin_phi| and ``xys`` |xc| + |ys| (see `_batch_roots`).
     """
     count, low, high, high2 = sums
-    odd, wx, wy = terms
-    series = (odd, np.column_stack([wx, -(wy * odd)]), np.column_stack([wy, wx * odd]))
-    cs, xys = np.abs(cos_phi) + np.abs(sin_phi), np.abs(xc) + np.abs(ys)
     t_abs = np.maximum(np.abs(a), np.abs(b))
     r = 0.5 * (a + b)
     f, slope = _value_and_slope(*series, xc, ys, cos_phi, sin_phi, r)
@@ -291,24 +301,24 @@ def _block_length(width: float, tol: float, t_max: float) -> int:
     return max(exponent, 1)
 
 
-def _certified_steps(brackets, r, eta, count):
+def _certified_steps(state, lo_neg, terms, count):
     """Up to ``count`` bisection steps decided by the certificate, in place.
 
-    ``brackets`` holds the rows' lower ends over their upper ends.  Every
-    step records its midpoints and which end each moved, so the block takes
-    one doubt test at its end.  The first step is tested before the rest
-    run, because a row whose root sits at its bracket's centre doubts there,
-    and that is common: a scan has an odd number of intervals, so evenly
-    spaced angles put roots on the centre interval's midpoint.  Returns
-    ``(count, None)`` when every midpoint cleared its row's zone of doubt.
-    Otherwise, for the first step ``j`` with a midpoint inside one, it rolls
-    ``brackets`` back to what that step started from and returns
-    ``(j, mids[j])``.
+    ``state`` holds the open rows as `_batch_roots` stacks them: lower ends,
+    upper ends, x cos_phi, y sin_phi, cos_phi, sin_phi, r and eta.  Each
+    step moves a row's lower end to its midpoint where r > mid and its upper
+    end where mid > r, and records its midpoints and which ends moved.  Then,
+    in step order, each step with a midpoint inside its row's zone of doubt
+    makes the exact `_residual` call on all the rows.  The recorded path
+    stands while every such call moves exactly the ends the step moved.
+    Returns ``(count, None, None)`` when it stands to the end.  Otherwise,
+    at the first step ``j`` whose call disagrees, it rolls ``state``'s
+    brackets back to what that step started from and returns
+    ``(j, mid, f_mid)``, the step's midpoints and residuals, for the caller
+    to apply.
     """
+    brackets, r, eta = state[:2], state[6], state[7]
     lo, hi = brackets
-    first = 0.5 * (lo + hi)
-    if not (np.abs(first - r) > eta).all():
-        return 0, first
     # Each step's midpoints sit between two copies of r, so that one
     # comparison of overlapping rows gives r > mid (the lower end moves)
     # over mid > r (the upper end moves).
@@ -326,16 +336,78 @@ def _certified_steps(brackets, r, eta, count):
         np.greater(lower, upper, out=move)
         np.copyto(brackets, mid, where=move)
     sure = np.logical_and.reduce(np.abs(mids - r) > eta, axis=1)
-    j = int(sure.argmin())
-    if sure[j]:
-        return count, None
-    # Lower ends only rise and upper ends only fall, each to a midpoint
-    # strictly inside its bracket, so step j's ends are the extreme
-    # midpoints that moved them before it (r and mid differ at sure steps).
-    moved = np.where(moves[:j], mids[:j, None], start)
-    np.maximum.reduce(moved[:, 0], axis=0, out=lo)
-    np.minimum.reduce(moved[:, 1], axis=0, out=hi)
-    return j, mids[j]
+    for j in np.flatnonzero(~sure).tolist():
+        f_mid = _residual(terms, state[2], state[3], state[4], state[5], mids[j])
+        # The call's step: an exact zero moves both ends, any other value
+        # the upper end where shrink_hi and the lower end elsewhere.
+        shrink_hi = lo_neg != (f_mid < 0.0)
+        if f_mid.all() and (moves[j, 1] == shrink_hi).all() and (moves[j, 0] != shrink_hi).all():
+            continue
+        # Lower ends only rise and upper ends only fall, each to a midpoint
+        # strictly inside its bracket, so step j's ends are the extreme
+        # midpoints that moved them before it.
+        brackets[...] = start
+        if j:
+            moved = np.where(moves[:j], mids[:j, None], start)
+            np.maximum.reduce(moved[:, 0], axis=0, out=lo)
+            np.minimum.reduce(moved[:, 1], axis=0, out=hi)
+        return j, mids[j], f_mid
+    return count, None, None
+
+
+def _scan_grid(lo, hi):
+    """Each bracket's `SCAN_SAMPLES` scan angles, as ``np.linspace`` places them.
+
+    That is linspace's own arithmetic, k * step + lo with hi as the last
+    sample, without its overhead; a step that underflows to zero takes
+    linspace's other branch, which then holds for every row.
+    """
+    step = (hi - lo) / (SCAN_SAMPLES - 1)
+    if not step.all():
+        return np.linspace(lo, hi, SCAN_SAMPLES, axis=-1)
+    grid = np.multiply.outer(step, np.arange(SCAN_SAMPLES, dtype=float))
+    grid += lo[:, None]
+    grid[:, -1] = hi
+    return grid
+
+
+# Scan-sample offsets from a hint's sample k: the window k - 1 .. k + 2, and
+# k - 2 and k + 3 for the nearest midpoints outside it.
+_STRIP = np.arange(-2, 4)
+_STRIP.setflags(write=False)
+
+
+def _window_picks(values, rows, lo, hi, step, hint, doubt):
+    """The scan's pick of each row that the 4 samples around its hint decide.
+
+    ``rows`` holds the rows' x cos_phi, y sin_phi, cos_phi and sin_phi as
+    columns, ``step`` their scan steps (all nonzero) and ``doubt`` their
+    E + E_h.  Returns a mask of the rows decided and, valid on those rows,
+    the ends of the picked interval and whether the residual is negative at
+    its lower end.  `_batch_roots` states the rule.
+    """
+    last = SCAN_SAMPLES - 1
+    # The sample below the hint, kept 2 samples from either end; the hint is
+    # clamped to the bracket so that the quotient stays finite, and fmax
+    # sends a NaN to the first window.
+    position = (np.minimum(np.maximum(hint, lo), hi) - lo) / step
+    k = np.fmin(np.fmax(np.floor(position), 2.0), last - 3.0).astype(np.intp)
+    index = k[:, None] + _STRIP
+    strip = index * step[:, None]
+    strip += lo[:, None]
+    np.copyto(strip, hi[:, None], where=index == last)
+    res = _horner_residual(values, *rows, strip[:, 1:-1])
+    neg = res < 0.0
+    # Signed distances from the hint of the midpoints of intervals k - 2 .. k + 2.
+    offset = 0.5 * (strip[:, :-1] + strip[:, 1:]) - hint[:, None]
+    # With every sign certified, no sample is zero and a sign change is a
+    # change of neg.
+    keys = np.where(neg[:, :-1] != neg[:, 1:], np.abs(offset[:, 1:-1]), np.inf)
+    pick = keys.argmin(axis=1)
+    nearest_outside = np.minimum(-offset[:, 0], offset[:, -1])
+    decided = (keys.min(axis=1) < nearest_outside) & (np.abs(res) > doubt[:, None]).all(axis=1)
+    every = np.arange(len(k))
+    return decided, strip[every, pick + 1], strip[every, pick + 2], neg[every, pick]
 
 
 def _batch_roots(
@@ -392,9 +464,30 @@ def _batch_roots(
     the outer arithmetic adds 3u cs A + 4u xys.  So the Horner value g is
     within E_h = `ROUNDING_SAFETY` u [cs (25 B + (4 K + 56) A) + 4 xys] of f,
     and where |g| > E + E_h, f is farther than E from zero: `_residual` has
-    g's sign and is not zero.  If that holds at every sample of every
-    row, the scan takes its signs from g; otherwise it calls `_residual` on
-    the whole grid, as without the certificate.
+    g's sign and is not zero.
+
+    The scan first computes g only at the 4 samples k - 1 .. k + 2 around
+    each row's hint, k being the sample below the hint, kept 2 samples from
+    either end of the grid, with the grid's own arithmetic (`_window_picks`).
+    A row takes its pick from that window when all 4 signs are certified
+    and the key of the window's nearest sign change is strictly smaller than
+    hint - m(k - 2) and m(k + 2) - hint, m(j) being interval j's midpoint as
+    the pick computes it.  The full scan then picks the same interval.  No
+    window sample is a zero.  Float rounding is monotone, so samples and
+    midpoints are nondecreasing in their index, m(k - 2) lies at or above
+    sample k - 2 and m(k + 2) at or below sample k + 3.  Every sample and
+    midpoint outside the window therefore lies at or below m(k - 2), itself
+    below the hint, or at or above m(k + 2), above it, and its key is at
+    least that midpoint's: every candidate outside, whatever the residual's
+    sign there, is farther than the window's pick.  The test is strict
+    because the full pick breaks a tie toward the lower index, and a tie can
+    lie outside: a hint on sample k is 1.5 steps from the midpoints of
+    intervals k + 1 (inside) and k - 2 (outside).  Every other row takes the
+    full scan: g at all its samples, and if any of those is in doubt,
+    `_residual` on the whole grid of every usable row, the call that was
+    made before any certificate, so the rows it decides see the same bits.
+    Where every full-scan sign is certified no sample is an exact zero, and
+    the pick skips the zeros.
 
     Bisection.  Each kept interval [a, b], of width h, gets an enclosure from
     f and f' at its centre: |f''| <= M2 = cs B2, so
@@ -413,23 +506,26 @@ def _batch_roots(
     of every call are unchanged, and so are the roots, bit for bit.
 
     Blocks.  While every open row is certified, the steps run in blocks
-    (`_certified_steps`): each step halves the brackets in place and
-    records its midpoints and masks, and the doubt tests are made for the
-    first step and then for the whole block at once.  A block holds only
-    steps that no open bracket can close in, so it skips no width check
-    that would have closed a row.  With T = max |lo|, |hi| over the rows,
-    the midpoint fl(a + b) / 2 lies within u T of (a + b) / 2, so a bracket
-    of true width W is at least W / 2 - u T wide one step on, and at least
-    W / 2**j - 2 u T after j steps; rounding its computed width costs a
-    factor 1 - u.  A computed narrowest width w >= tau 2**j,
-    tau = tol + 4u (tol + T), therefore keeps every computed width above
-    tol for j more steps, and `_block_length` gives the block 1 + the
-    largest such j steps.  If some midpoint lies in its row's zone of
-    doubt, the first such step j is redone: its brackets are rebuilt from
-    the recorded midpoints, and the exact call is made on its open rows,
-    which are all the rows of the block.  So each exact call falls on the
-    same step, with the same rows in the same order, as in the step-by-step
-    bisection.
+    (`_certified_steps`): each step halves the brackets in place by the
+    prediction r > mid or mid > r, and records its midpoints and masks.  A
+    block holds only steps that no open bracket can close in, so it skips
+    no width check that would have closed a row.  With T = max |lo|, |hi|
+    over the rows, the midpoint fl(a + b) / 2 lies within u T of
+    (a + b) / 2, so a bracket of true width W is at least W / 2 - u T wide
+    one step on, and at least W / 2**j - 2 u T after j steps; rounding its
+    computed width costs a factor 1 - u.  A computed narrowest width
+    w >= tau 2**j, tau = tol + 4u (tol + T), therefore keeps every computed
+    width above tol for j more steps, and `_block_length` gives the block
+    1 + the largest such j steps.  So the open rows of every step in a block
+    are all the block's rows, and each step with a midpoint in its row's
+    zone of doubt makes its exact call on all of them, the call the
+    step-by-step bisection makes there.  Where that call moves the ends the
+    prediction moved, the step and the path after it stand; at the first
+    step where it does not (an exact zero, or r on the midpoint, which moves
+    neither end), the block rolls back to that step and the call decides
+    it.  So each exact call falls on the same step, with the same rows in
+    the same order, as in the step-by-step bisection: a certificate only
+    ever removes calls.
     """
     roots: list[float | None] = [None] * len(points)
     usable = np.flatnonzero(lo < hi)
@@ -437,56 +533,77 @@ def _batch_roots(
         return roots
     if usable.size < len(points):
         points, normals, lo, hi = points[usable], normals[usable], lo[usable], hi[usable]
+    hint = prefer[usable]
     c, s = normals[:, 0], normals[:, 1]
     xc, ys = points[:, 0] * c, points[:, 1] * s
-    # linspace's own arithmetic, k * step + lo with hi as the last sample,
-    # without its overhead; a step that underflows to zero takes linspace's
-    # other branch.
-    step = (hi - lo) / (SCAN_SAMPLES - 1)
-    if step.all():
-        grid = np.multiply.outer(step, np.arange(SCAN_SAMPLES, dtype=float))
-        grid += lo[:, None]
-        grid[:, -1] = hi
-    else:
-        grid = np.linspace(lo, hi, SCAN_SAMPLES, axis=-1)
-    terms = _series_terms(scaled.values)
-    fa = np.abs(scaled.values)
-    mult = np.abs(terms[0])
+    values = scaled.values
+    terms = _series_terms(values)
+    odd, wx, wy = terms
+    fa = np.abs(values)
+    mult = np.abs(odd)
     sums = (len(fa), fa.sum(), fa @ mult, fa @ (mult * mult))
     count, low, high, _ = sums
     cs, xys = np.abs(c) + np.abs(s), np.abs(xc) + np.abs(ys)
     t_abs = np.maximum(np.abs(lo), np.abs(hi))
-    res = _horner_residual(scaled.values, xc[:, None], ys[:, None], c[:, None], s[:, None], grid)
     doubt = _rounding_bound(cs, t_abs, low, high, count, xys) + _horner_bound(cs, low, high, count, xys)
-    if not (np.abs(res) > doubt[:, None]).all():
-        res = _residual(terms, xc[:, None], ys[:, None], c[:, None], s[:, None], grid)
+    rows = (xc[:, None], ys[:, None], c[:, None], s[:, None])
 
-    # One distance per sample for the zeros, then one per interval for the
-    # sign changes, inf where there is no candidate: argmin returns the first
-    # nearest candidate in that order.
-    zero = res == 0.0
-    neg, pos = res < 0.0, res > 0.0
-    flip = (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
-    hint = prefer[usable, None]
-    keys = np.concatenate(
-        [
-            np.where(zero, np.abs(grid - hint), np.inf),
-            np.where(flip, np.abs(0.5 * (grid[:, :-1] + grid[:, 1:]) - hint), np.inf),
-        ],
-        axis=1,
-    )
-    pick = keys.argmin(axis=1)
-    found = zero.any(axis=1) | flip.any(axis=1)
-    # The picked zero, or the left end of the picked sign change.
-    left = pick % SCAN_SAMPLES
-    out = grid[np.arange(usable.size), left]
+    # Per usable row: whether it has a candidate, the picked zero (its root)
+    # or sign change [b_lo, b_hi] with the residual's sign at b_lo.
+    step = (hi - lo) / (SCAN_SAMPLES - 1)
+    if step.all():
+        found, b_lo, b_hi, lo_neg = _window_picks(values, rows, lo, hi, step, hint, doubt)
+    else:
+        found = np.zeros(usable.size, dtype=bool)
+        b_lo, b_hi, lo_neg = np.empty(usable.size), np.empty(usable.size), found.copy()
+    bisect = found.copy()
+    rest = np.flatnonzero(~found)
+    if rest.size:
+        grid = _scan_grid(lo[rest], hi[rest])
+        res = _horner_residual(values, *(v[rest] for v in rows), grid)
+        certain = bool((np.abs(res) > doubt[rest, None]).all())
+        if not certain:
+            whole = grid if rest.size == usable.size else _scan_grid(lo, hi)
+            res = _residual(terms, *rows, whole)[rest]
+        neg, pos = res < 0.0, res > 0.0
+        flip = (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
+        hint_col = hint[rest, None]
+        keys = np.where(flip, np.abs(0.5 * (grid[:, :-1] + grid[:, 1:]) - hint_col), np.inf)
+        changes = flip.any(axis=1)
+        if certain:
+            # Column SCAN_SAMPLES + k of the full pick is interval k.
+            pick = keys.argmin(axis=1) + SCAN_SAMPLES
+        else:
+            # One distance per sample for the zeros, then one per interval
+            # for the sign changes, inf where there is no candidate: argmin
+            # returns the first nearest candidate in that order.
+            zero = res == 0.0
+            keys = np.concatenate([np.where(zero, np.abs(grid - hint_col), np.inf), keys], axis=1)
+            pick = keys.argmin(axis=1)
+            changes |= zero.any(axis=1)
+        found[rest] = changes
+        # The picked zero, or the left end of the picked sign change.
+        left = pick % SCAN_SAMPLES
+        every = np.arange(rest.size)
+        b_lo[rest] = grid[every, left]
+        sign_change = changes & (pick >= SCAN_SAMPLES)
+        bisect[rest] = sign_change
+        moved = rest[sign_change]
+        b_hi[moved] = grid[sign_change, left[sign_change] + 1]
+        lo_neg[moved] = neg[sign_change, left[sign_change]]
+    # The picked zeros are roots; the bisection writes the other roots.
+    out = b_lo
 
-    jobs = np.flatnonzero(found & (pick >= SCAN_SAMPLES))
-    k = left[jobs]
-    b_lo, b_hi = grid[jobs, k], grid[jobs, k + 1]
-    lo_neg = neg[jobs, k]
-    xc, ys, c, s = xc[jobs], ys[jobs], c[jobs], s[jobs]
-    r, eta = _enclosures(terms, sums, xc, ys, c, s, b_lo, b_hi, lo_neg)
+    jobs = np.flatnonzero(bisect)
+    if jobs.size < usable.size:
+        b_lo, b_hi, lo_neg = b_lo[jobs], b_hi[jobs], lo_neg[jobs]
+        xc, ys, c, s = xc[jobs], ys[jobs], c[jobs], s[jobs]
+        cs, xys = cs[jobs], xys[jobs]
+    # The sin and cos weight columns of `_value_and_slope`; -(wy * odd) is
+    # wx * odd bit for bit.
+    slope_weights = wx * odd
+    series = (odd, np.array([wx, slope_weights]).T, np.array([wy, slope_weights]).T)
+    r, eta = _enclosures(series, sums, xc, ys, c, s, cs, xys, b_lo, b_hi, lo_neg)
     # All a residual call or a block reads about a row, one column per row,
     # so that closing rows drops them with one index.
     state = np.stack([b_lo, b_hi, xc, ys, c, s, r, eta])
@@ -505,25 +622,24 @@ def _batch_roots(
             certified = bool(np.isfinite(state[7]).all())
         if not jobs.size:
             break
-        brackets = state[:2]
         if certified:
             count = min(_block_length(float(width.min()), tol, t_max), MAX_BISECTIONS - steps)
-            done, mid = _certified_steps(brackets, state[6], state[7], count)
+            done, mid, f_mid = _certified_steps(state, lo_neg, terms, count)
             steps += done
             if mid is None:
                 continue
         else:
             mid = 0.5 * (state[0] + state[1])
-        f_mid = _residual(terms, state[2], state[3], state[4], state[5], mid)
+            f_mid = _residual(terms, state[2], state[3], state[4], state[5], mid)
         steps += 1
         shrink_hi = lo_neg != (f_mid < 0.0)
-        np.copyto(brackets[1], mid, where=shrink_hi)
-        np.copyto(brackets[0], mid, where=~shrink_hi)
+        np.copyto(state[1], mid, where=shrink_hi)
+        np.copyto(state[0], mid, where=~shrink_hi)
         if np.count_nonzero(f_mid) < jobs.size:
             # An exact zero collapses the bracket onto mid, which the next
             # width check closes with 0.5 * (mid + mid) == mid.
             hit = f_mid == 0.0
-            brackets[:, hit] = mid[hit]
+            state[:2, hit] = mid[hit]
     out[jobs] = 0.5 * (state[0] + state[1])
     for k, root in zip(usable[found].tolist(), out[found].tolist()):
         roots[k] = root

@@ -56,6 +56,21 @@ def test_fit_writes_all_formats(rect_file, tmp_path, capsys):
     assert "polyline" in svg
 
 
+def test_the_csv_spells_every_value_as_str_format_does(tmp_path):
+    # 700 rows cross the writer's runs of rows; among the values are nan,
+    # +-inf, +-0.0, subnormals, the largest float and random bit patterns.
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310, 1.7976931348623157e308, -2.5e-308]
+    rng = np.random.default_rng(3)
+    bits = rng.integers(0, 2**64, size=1500, dtype=np.uint64).view(float)
+    scaled = rng.standard_normal(591) * 10.0 ** rng.integers(-20, 20, 591)
+    theta, x, y = np.concatenate([special, bits, scaled]).reshape(3, -1)
+    path = tmp_path / "c.csv"
+    cli_mod._write_csv(path, theta, x, y)
+    row = "{:.12g},{:.12g},{:.12g}\n".format
+    want = "theta,x,y\n" + "".join(map(row, theta.tolist(), x.tolist(), y.tolist()))
+    assert path.read_text() == want
+
+
 def test_fit_is_deterministic_without_timing(rect_file, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):

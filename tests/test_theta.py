@@ -124,7 +124,10 @@ BATCH_CASES = (
     # At theta = 0 the residual vanishes exactly for a point on the centreline.
     ((0.0, 0.4), (0.0, pi / 2.0), 0.0),
     # On the integer grid 0..63 the zero at 0 and the sign changes at
-    # midpoints 3.5 and 6.5 (around pi and 2 pi) tie for each hint.
+    # midpoints 3.5 and 6.5 (around pi and 2 pi) tie for each hint.  The
+    # hint 5.0 sits on sample 5: the 4 samples around it hold the sign
+    # change at 6.5 and leave its tie at 3.5 outside, so only the full scan
+    # may decide the row.
     ((0.0, 0.5), (0.0, 63.0), 1.75),
     ((0.0, 0.5), (0.0, 63.0), 5.0),
 )
@@ -223,13 +226,19 @@ def _lockstep(scaled, pts, normals, lo, hi, prefer):
     return lockstep_bisect_roots(scaled, pts, listed, list(range(len(pts))), lo, hi, prefer)
 
 
-# One row: kind, x, y, phi, lo, width, hint offset, scan sample j.  Widths
-# <= 0 give empty brackets.  The other kinds place the point so that the
-# residual is zero to rounding at a sample or at a first bisection midpoint,
-# which makes the candidate and the root depend on the residual's last bits:
-# "centreline" is (0, y) against a vertical normal with lo = 0 (an exact zero
-# at the first sample for any coefficients); "sample" and "midpoint" put the
-# point on the boundary at scan sample j or halfway to sample j + 1.
+# One row: kind, x, y, phi, lo, width, hint offset, scan sample j, hint
+# kind, hint sample shift d.  Widths <= 0 give empty brackets.  The other kinds
+# place the point so that the residual is zero to rounding at a sample or at
+# a first bisection midpoint, which makes the candidate and the root depend
+# on the residual's last bits: "centreline" is (0, y) against a vertical
+# normal with lo = 0 (an exact zero at the first sample for any
+# coefficients); "sample" and "midpoint" put the point on the boundary at
+# scan sample j or halfway to sample j + 1.  The hint kinds decide whether
+# the 4 samples around the hint settle the row's pick: "offset" puts it at
+# lo + the hint offset, "sample" and "midpoint" on scan sample i = j + d or
+# halfway to sample i + 1, near the point's root for the point kinds that
+# place one, where a candidate outside those 4 samples can tie with one
+# inside, "lo" and "hi" on the bracket's ends, and "far" well below it.
 BATCH_ROW = st.tuples(
     st.sampled_from(["free", "centreline", "sample", "midpoint"]),
     st.floats(-1.5, 1.5),
@@ -239,6 +248,8 @@ BATCH_ROW = st.tuples(
     st.one_of(st.just(0.0), st.floats(-0.5, 3.0)),
     st.floats(-1.0, 4.0),
     st.integers(0, theta_mod.SCAN_SAMPLES - 2),
+    st.sampled_from(["offset", "sample", "midpoint", "lo", "hi", "far"]),
+    st.integers(-1, 1),
 )
 
 
@@ -257,11 +268,22 @@ def test_batch_roots_equal_the_lockstep_oracle_bit_for_bit(values, rows):
     scaled = ScaledCoefficients(values)
     lo = np.array([0.0 if row[0] == "centreline" else row[4] for row in rows])
     hi = lo + np.array([row[5] for row in rows])
-    prefer = lo + np.array([row[6] for row in rows])
-    grid = np.linspace(lo, hi, theta_mod.SCAN_SAMPLES, axis=-1)
+    # Each row's own scan samples, as the solver places them when no
+    # other row's step underflows.
+    grid = np.array([np.linspace(a, b, theta_mod.SCAN_SAMPLES) for a, b in zip(lo, hi)])
     pts = np.empty((len(rows), 2))
     normals = np.empty((len(rows), 2))
-    for i, (kind, x, y, phi, _, _, _, j) in enumerate(rows):
+    prefer = np.empty(len(rows))
+    for i, (kind, x, y, phi, _, _, offset, j, hint, shift) in enumerate(rows):
+        h = min(max(j + shift, 0), theta_mod.SCAN_SAMPLES - 2)
+        prefer[i] = {
+            "offset": lo[i] + offset,
+            "sample": grid[i, h],
+            "midpoint": 0.5 * (grid[i, h] + grid[i, h + 1]),
+            "lo": lo[i],
+            "hi": hi[i],
+            "far": lo[i] - 50.0,
+        }[hint]
         normals[i] = (cos(phi), sin(phi))
         if kind == "centreline":
             pts[i], normals[i] = (0.0, y), (1.0, 0.0)
@@ -412,15 +434,30 @@ def _bisection_midpoint(a, b, turns):
     return 0.5 * (a + b)
 
 
+def _record_blocks(monkeypatch):
+    """Wraps `theta._certified_steps`; the list gets (steps run, steps kept) per block."""
+    real = theta_mod._certified_steps
+    blocks = []
+
+    def recorded(state, lo_neg, terms, count):
+        out = real(state, lo_neg, terms, count)
+        blocks.append((count, out[0]))
+        return out
+
+    monkeypatch.setattr(theta_mod, "_certified_steps", recorded)
+    return blocks
+
+
 def test_doubt_in_mid_block_rolls_back_to_that_step(monkeypatch):
     # Unit-circle rows (sin t, y) against the normal (1, 0), whose float
     # residual is exactly zero at theta = t.  Row 0 puts t on the midpoint
     # its bisection tries at step 6, after six steps the certificate decides;
-    # row 1 on its first midpoint; row 2's root is on no midpoint.  The
-    # first block stops at step 0 for row 1 and makes the exact call on all
-    # three rows; row 1 closes on its zero.  The next block runs from step 1
-    # and stops five steps in for row 0, rolls back to that step, and makes
-    # the exact call on rows 0 and 2, at their step-6 midpoints.
+    # row 1 on its first midpoint; row 2's root is on no midpoint.  An exact
+    # zero moves both ends, which no prediction does.  So the first block
+    # rolls back to step 0 for row 1, whose exact call holds all three rows;
+    # row 1 closes on its zero.  The next block runs from step 1, rolls back
+    # to its sixth step for row 0, and makes the exact call on rows 0 and 2,
+    # at their step-6 midpoints.
     lo, hi = np.array([0.1, -0.2, 0.25]), np.array([0.9, 0.5, 1.05])
     grid = np.linspace(lo, hi, theta_mod.SCAN_SAMPLES, axis=-1)
     at = np.array(
@@ -449,6 +486,65 @@ def test_doubt_in_mid_block_rolls_back_to_that_step(monkeypatch):
         a, b = (a, mid) if sin(mid) > 0.4 else (mid, b)
     assert counter.angles[1].tolist() == [at[0], 0.5 * (a + b)]
     assert got[:2] == at[:2].tolist()
+    assert got == _lockstep(CIRCLE, pts, normals, lo, hi, prefer)
+
+
+def test_a_doubtful_step_whose_exact_call_agrees_keeps_the_block(monkeypatch):
+    # Row 0's root lies 5e-15 above the first midpoint its bisection tries:
+    # inside that step's zone of doubt, but on the side the certificate
+    # predicts.  Row 1's root, asin(0.4), is on no midpoint.  The step's
+    # exact call holds both rows and moves the ends the certificate moved,
+    # so the one block runs to its end with no other exact call.
+    lo, hi = np.array([0.1, 0.25]), np.array([0.9, 1.05])
+    grid = np.linspace(lo, hi, theta_mod.SCAN_SAMPLES, axis=-1)
+    first = 0.5 * (grid[0, 30] + grid[0, 31])
+    pts = np.array([[sin(first + 5e-15), 0.3], [0.4, 0.9]])
+    normals = np.tile([1.0, 0.0], (2, 1))
+    prefer = np.array([first, asin(0.4)])
+    counter = _CountingResidual(monkeypatch)
+    blocks = _record_blocks(monkeypatch)
+    got = _batch_roots(CIRCLE, pts, normals, lo, hi, prefer)
+    k = int(np.searchsorted(grid[1], asin(0.4))) - 1
+    assert counter.scans == 0
+    assert [angles.tolist() for angles in counter.angles] == [[first, 0.5 * (grid[1, k] + grid[1, k + 1])]]
+    assert len(blocks) == 1 and blocks[0][0] == blocks[0][1]
+    assert got == _lockstep(CIRCLE, pts, normals, lo, hi, prefer)
+
+
+def test_a_root_estimate_on_a_midpoint_rolls_the_block_back(monkeypatch):
+    # Row 0's root estimate r is moved onto the midpoint its bisection tries
+    # at step j, bit for bit, and its eta widened by the move, so that the
+    # certificate still holds.  The prediction then moves neither end at
+    # step j, while the root lies above that midpoint: the block must roll
+    # back there and let the exact call move the lower end, or the bracket
+    # never shrinks again.
+    lo, hi = np.array([0.25, 0.1]), np.array([1.05, 0.9])
+    grid = np.linspace(lo, hi, theta_mod.SCAN_SAMPLES, axis=-1)
+    root = asin(0.4)
+    k = int(np.searchsorted(grid[0], root)) - 1
+    a, b = grid[0, k], grid[0, k + 1]
+    mids = []
+    for _ in range(8):
+        mids.append(0.5 * (a + b))
+        a, b = (a, mids[-1]) if sin(mids[-1]) > 0.4 else (mids[-1], b)
+    j = next(j for j in range(1, 8) if sin(mids[j]) < 0.4)
+    real = theta_mod._enclosures
+
+    def moved(*args):
+        r, eta = real(*args)
+        eta[0] += abs(r[0] - mids[j])
+        r[0] = mids[j]
+        return r, eta
+
+    monkeypatch.setattr(theta_mod, "_enclosures", moved)
+    counter = _CountingResidual(monkeypatch)
+    blocks = _record_blocks(monkeypatch)
+    pts = np.array([[0.4, 0.3], [0.55, 0.9]])
+    normals = np.tile([1.0, 0.0], (2, 1))
+    prefer = np.array([root, asin(0.55)])
+    got = _batch_roots(CIRCLE, pts, normals, lo, hi, prefer)
+    assert blocks[0][1] == j
+    assert counter.angles[0][0] == mids[j]
     assert got == _lockstep(CIRCLE, pts, normals, lo, hi, prefer)
 
 
