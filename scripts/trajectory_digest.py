@@ -1,4 +1,4 @@
-"""Print two SHA-256 digests: the trajectories of a fixed set of fits, then the gallery searches.
+"""Print three SHA-256 digests: the trajectories of fixed fits, the gallery searches, the order floors.
 
 Usage: PYTHONPATH=src python scripts/trajectory_digest.py [--verbose]
 
@@ -16,6 +16,11 @@ report's per_order records without their seconds, tolerance_trace, best
 order and error, and the bytes of best_fit's last coefficient vector,
 angles and mapped points.
 
+The third line covers the `min_error_for_order` floors that the acceptance
+tests compute: rectangle41 at N = 5, 6 and 12 to tolerance 10, and
+heeled_rectangle(21, 15 deg) at N = 12 and 30 to tolerance 0.2, as the
+bytes of each floor error.
+
 hullmap is imported from whatever tree is on PYTHONPATH, so running the
 script against two checkouts shows whether a change keeps every trajectory
 bit-identical.  The digest depends on the numpy and BLAS build, so compare
@@ -30,7 +35,7 @@ import numpy as np
 import hullmap
 from hullmap.errors import HullmapError
 from hullmap.fit import FitConfig, fit_section
-from hullmap.search import search_optimum
+from hullmap.search import min_error_for_order, search_optimum
 from hullmap.shapes import (
     bulb_section,
     chine_section,
@@ -52,6 +57,7 @@ ORDERS = (5, 8, 12)
 HIGH_ORDERS = {"rectangle41": (30, 60), "bulb41": (30, 60)}
 GALLERY = ("rectangle41", "bulb41", "fine41", "chine41")
 SEARCH_ORDERS = (5, 7)
+FLOORS = {"rectangle41": ((5, 6, 12), 10.0), "heeled_rectangle21": ((12, 30), 0.2)}
 
 
 def _fit_bytes(section, order: int) -> bytes:
@@ -87,11 +93,19 @@ def _search_bytes(section) -> bytes:
     return b"".join(parts)
 
 
+def _floor_bytes(section, order: int, tolerance: float) -> bytes:
+    try:
+        floor = min_error_for_order(section, order, FitConfig(order, tolerance))
+    except HullmapError as exc:
+        return f"{type(exc).__name__}: {exc}".encode()
+    return np.array([floor], dtype=float).tobytes()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--verbose", action="store_true", help="also print one digest per fit and search")
+    parser.add_argument("--verbose", action="store_true", help="also print one digest per fit, search and floor")
     args = parser.parse_args()
-    fits, searches = hashlib.sha256(), hashlib.sha256()
+    fits, searches, floors = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for name, build in SECTIONS.items():
         section = build()
         for order in ORDERS + HIGH_ORDERS.get(name, ()):
@@ -104,10 +118,17 @@ def main() -> None:
             searches.update(blob)
             if args.verbose:
                 print(f"{name} search {SEARCH_ORDERS}: {hashlib.sha256(blob).hexdigest()}")
+        orders, tolerance = FLOORS.get(name, ((), 0.0))
+        for order in orders:
+            blob = _floor_bytes(section, order, tolerance)
+            floors.update(blob)
+            if args.verbose:
+                print(f"{name} floor N={order} tol={tolerance}: {hashlib.sha256(blob).hexdigest()}")
     if args.verbose:
         print(f"hullmap from {hullmap.__file__}")
     print(fits.hexdigest())
     print(searches.hexdigest())
+    print(floors.hexdigest())
 
 
 if __name__ == "__main__":

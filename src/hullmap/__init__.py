@@ -51,8 +51,6 @@ from .theta import (
     NormalDirection,
     ThetaAssignment,
     assign_thetas,
-    endpoint_normal,
-    interior_normal,
     theta_residual,
 )
 

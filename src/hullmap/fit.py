@@ -96,17 +96,9 @@ def _seed_asymmetric(section: SectionOffsets, order: int) -> np.ndarray:
     ).values.copy()
 
 
-def _result_from_state(
-    fa: np.ndarray,
-    thetas: ThetaAssignment,
-    error: float,
-    history: list[float],
-    fa_history: list[np.ndarray],
-    theta_history: list[ThetaAssignment],
-    iterations: int,
-    converged: bool,
-    diverged: bool,
-) -> FitResult:
+def _fit_result(best, history, fa_history, theta_history, converged: bool, diverged: bool) -> FitResult:
+    """The state ``best`` = (error, scaled coefficients, angles), reported over the histories."""
+    error, fa, thetas = best
     return FitResult(
         coefficients=ScaledCoefficients(fa).to_mapping(),
         thetas=thetas,
@@ -114,7 +106,7 @@ def _result_from_state(
         error_history=history,
         fa_history=fa_history,
         theta_history=theta_history,
-        iterations=iterations,
+        iterations=len(history),
         converged=converged,
         diverged=diverged,
         mapped_points=_mapped(fa, thetas),
@@ -138,7 +130,6 @@ def _run_fit(
     theta_history: list[ThetaAssignment] = []
     best: tuple[float, np.ndarray, ThetaAssignment] | None = None
     rising = 0
-    iterations = 0
     converged = False
     diverged = False
 
@@ -155,20 +146,19 @@ def _run_fit(
                 fa_history.append(fa.copy())
                 theta_history.append(thetas)
                 best = (error, fa.copy(), thetas)
-                iterations += 1
             break
-        iterations += 1
         error = compute_error(section, _mapped(solved, thetas))
         history.append(error)
         fa_history.append(solved.copy())
         theta_history.append(thetas)
         # A sweep with a nonpositive leading coefficient flips the contour's
-        # orientation; it may still recover, but it cannot be reported.
+        # orientation; it may still recover, but it cannot be reported.  A
+        # sweep under the tolerance is the best one: any earlier positive
+        # sweep under it would have stopped the fit.
         if solved[0] > 0.0 and (best is None or error < best[0]):
             best = (error, solved.copy(), thetas)
         if solved[0] > 0.0 and error < config.tolerance:
             converged = True
-            fa, prev = solved, thetas
             break
         rising = rising + 1 if (len(history) >= 2 and error > history[-2]) else 0
         if rising >= DIVERGENCE_RUN:
@@ -177,19 +167,12 @@ def _run_fit(
             break
         fa, prev = solved, thetas
 
-    if converged:
-        return _result_from_state(
-            fa, prev, history[-1], history, fa_history, theta_history, iterations, True, False
-        )
     if best is None:
         # No sweep kept a positive leading coefficient; report the seed state.
         diverged = True
         thetas = assign_thetas(ScaledCoefficients(seed), section, None)
         best = (compute_error(section, _mapped(seed, thetas)), seed.copy(), thetas)
-    error, fa_best, thetas_best = best
-    return _result_from_state(
-        fa_best, thetas_best, error, history, fa_history, theta_history, iterations, False, diverged
-    )
+    return _fit_result(best, history, fa_history, theta_history, converged, diverged)
 
 
 def fit_symmetric(section: SectionOffsets, config: FitConfig) -> FitResult:

@@ -1,14 +1,16 @@
 """Outer search for the coefficient order with the lowest reachable error.
 
-Orders are tried in sequence starting from a loose tolerance.  A converged
-order triggers a tightening stage that repeatedly halves the target until the
-fit can no longer follow, which pins that order's floor error; the tolerance
-for the next order is then derived from the floor (subtract 0.1 above 0.1,
-otherwise divide by 10).  Orders that fail their gate leave the tolerance
-unchanged.  One fit trajectory from the standard seed is deterministic, so
-the tightening stage replays the recorded error history instead of refitting
-from scratch; the outcome is identical because every refit would retrace the
-same sweeps.
+Orders are tried in sequence starting from a loose tolerance.  Each order
+runs one fit from the standard seed, and `_floor_index` reads the order's
+floor off the fit's error history in one forward pass: the gate is the first
+sweep under the current tolerance, and the floor then moves to each later
+sweep that beats half the error at the current floor, at most
+`MAX_TIGHTENING_ROUNDS` times.  That is the outcome of halving the target
+and refitting until the fit can no longer follow, since every refit from the
+deterministic seed retraces the same sweeps and each halving's first hit
+lies after the previous one.  An order without a gate leaves the tolerance
+unchanged; an accepted order hands the next one a tolerance derived from its
+floor (subtract 0.1 above 0.1, otherwise divide by 10).
 """
 
 from __future__ import annotations
@@ -16,11 +18,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import SearchFailedError
-from .fit import FitConfig, FitResult, _mapped, fit_section
-from .mapping import ScaledCoefficients
+from .errors import ConfigurationError, SearchFailedError
+from .fit import FitConfig, FitResult, _fit_result, fit_section
 from .section import SectionOffsets
 
 INITIAL_TOLERANCE = 10.0
@@ -52,60 +51,34 @@ def next_tolerance(e_min: float) -> float:
     return e_min / 10.0
 
 
-def _replay_tightening(history: list[float], gate_index: int) -> tuple[float, int]:
-    """Outcome of the halving stage over a recorded error trajectory.
+def _floor_index(history: list[float], tolerance: float) -> int | None:
+    """Index of the floor sweep of one order's error history, or None if no sweep gates.
 
-    Returns the floor error and the sweep index that produced it.  Each round
-    targets half the previous achieved error and succeeds at the first sweep
-    whose error beats the target, exactly as a rerun from the deterministic
-    seed would.
+    The gate is the first sweep under ``tolerance``.  From there the index
+    moves to each later sweep whose error beats half the error at the
+    current index, at most `MAX_TIGHTENING_ROUNDS` times.
     """
-    achieved = history[gate_index]
-    index = gate_index
-    for _ in range(MAX_TIGHTENING_ROUNDS):
-        target = 0.5 * achieved
-        hit = next((k for k, e in enumerate(history) if e < target), None)
-        if hit is None:
-            break
-        achieved = history[hit]
-        index = hit
-    return achieved, index
-
-
-def _gate_index(history: list[float], tolerance: float) -> int | None:
-    return next((k for k, e in enumerate(history) if e < tolerance), None)
+    gate = next((k for k, e in enumerate(history) if e < tolerance), None)
+    if gate is None:
+        return None
+    index, rounds = gate, 0
+    for k in range(gate + 1, len(history)):
+        if rounds < MAX_TIGHTENING_ROUNDS and history[k] < 0.5 * history[index]:
+            index, rounds = k, rounds + 1
+    return index
 
 
 def min_error_for_order(section: SectionOffsets, order: int, config: FitConfig) -> float:
     """Floor error reachable at ``order`` once the fit passes ``config.tolerance``.
 
-    A fit that never reaches the tolerance reports whatever it achieved.
+    ``config.order`` must equal ``order``.  A fit that never reaches the
+    tolerance reports whatever it achieved.
     """
-    result = fit_section(
-        section, FitConfig(order, 0.0, config.max_iterations)
-    )
-    gate = _gate_index(result.error_history, config.tolerance)
-    if gate is None:
-        return result.error
-    floor, _ = _replay_tightening(result.error_history, gate)
-    return floor
-
-
-def _snapshot(result: FitResult, index: int) -> FitResult:
-    fa = result.fa_history[index]
-    thetas = result.theta_history[index]
-    return FitResult(
-        coefficients=ScaledCoefficients(fa).to_mapping(),
-        thetas=thetas,
-        error=result.error_history[index],
-        error_history=result.error_history[: index + 1],
-        fa_history=result.fa_history[: index + 1],
-        theta_history=result.theta_history[: index + 1],
-        iterations=index + 1,
-        converged=True,
-        diverged=False,
-        mapped_points=_mapped(fa, thetas),
-    )
+    if config.order != order:
+        raise ConfigurationError(f"order {order} disagrees with config.order {config.order}")
+    result = fit_section(section, FitConfig(order, 0.0, config.max_iterations))
+    index = _floor_index(result.error_history, config.tolerance)
+    return result.error if index is None else result.error_history[index]
 
 
 def search_optimum(
@@ -126,7 +99,7 @@ def search_optimum(
     tolerance = initial_tolerance
     trace: list[tuple[int, float]] = []
     records: list[SearchRecord] = []
-    best_fit: FitResult | None = None
+    floor_sweep: tuple[FitResult, int] | None = None
     for order in range(order_range[0], order_range[1] + 1):
         trace.append((order, tolerance))
         started = time.perf_counter()
@@ -134,23 +107,27 @@ def search_optimum(
         # has tightened below it the run must push that deep to stay decidable.
         result = fit_section(section, FitConfig(order, min(tolerance, floor_target)))
         elapsed = time.perf_counter() - started
-        gate = _gate_index(result.error_history, tolerance)
-        if gate is None:
+        index = _floor_index(result.error_history, tolerance)
+        if index is None:
             continue
-        floor, index = _replay_tightening(result.error_history, gate)
+        floor = result.error_history[index]
         records.append(SearchRecord(order, floor, result.iterations, elapsed))
-        best_fit = _snapshot(result, index)
+        floor_sweep = (result, index)
         if floor <= floor_target:
             break
         tolerance = next_tolerance(floor)
-    if not records:
+    if floor_sweep is None:
         raise SearchFailedError(
             f"no order in {order_range} converged at tolerance {initial_tolerance}"
         )
+    result, index = floor_sweep
+    end = index + 1
+    state = (result.error_history[index], result.fa_history[index], result.theta_history[index])
+    histories = (result.error_history[:end], result.fa_history[:end], result.theta_history[:end])
     return SearchReport(
         per_order=records,
         best_order=records[-1].order,
         best_error=records[-1].e_min,
         tolerance_trace=trace,
-        best_fit=best_fit,
+        best_fit=_fit_result(state, *histories, True, False),
     )

@@ -114,33 +114,6 @@ def _unit_normals(secants: np.ndarray) -> np.ndarray:
     return np.column_stack([secants[:, 0], -secants[:, 1]]) / length[:, None]
 
 
-def _normal_from_secant(dx: float, dy: float) -> NormalDirection:
-    cos_phi, sin_phi = _unit_normals(np.array([[dx, dy]], dtype=float))[0].tolist()
-    return NormalDirection(cos_phi, sin_phi)
-
-
-def interior_normal(points: np.ndarray, i: int) -> NormalDirection:
-    """Normal of interior point ``i`` from the secant through its neighbours."""
-    if not 0 < i < len(points) - 1:
-        raise IndexError("interior_normal needs an interior index")
-    dx = float(points[i + 1, 0] - points[i - 1, 0])
-    dy = float(points[i + 1, 1] - points[i - 1, 1])
-    return _normal_from_secant(dx, dy)
-
-
-def endpoint_normal(points: np.ndarray, end: str) -> NormalDirection:
-    """One-sided normal at the first or last point of a non-symmetric section."""
-    if end == "first":
-        i, j = 1, 0
-    elif end == "last":
-        i, j = len(points) - 1, len(points) - 2
-    else:
-        raise ValueError("end must be 'first' or 'last'")
-    dx = float(points[i, 0] - points[j, 0])
-    dy = float(points[i, 1] - points[j, 1])
-    return _normal_from_secant(dx, dy)
-
-
 def _free_normals(section: SectionOffsets) -> np.ndarray:
     """(cos_phi, sin_phi) rows for the points whose angle is solved, in point order.
 
@@ -181,12 +154,6 @@ def _free_rows(section: SectionOffsets) -> tuple:
             array.setflags(write=False)
         _FREE_ROWS[section] = rows
     return rows
-
-
-def section_normals(section: SectionOffsets) -> list:
-    """Normals for every point; symmetric endpoints are pinned and get None."""
-    normals = [NormalDirection(c, s) for c, s in _free_normals(section).tolist()]
-    return [None, *normals, None] if section.symmetric else normals
 
 
 def _residual(terms, xc, ys, cos_phi, sin_phi, theta):

@@ -5,8 +5,9 @@ library's own code paths, so a shared bug cannot hide in both sides.  The
 exceptions are bit-exact references kept from earlier versions of the
 library: `lockstep_bisect_roots`, the batched angle solver, which shares the
 library's series kernel on purpose, so that any difference in its roots
-comes from the solver alone; and `outer_lu_solve`, the elimination with one
-`np.outer` update per column.
+comes from the solver alone; `outer_lu_solve`, the elimination with one
+`np.outer` update per column; and `replay_floor`, the search's gate and
+halving replay over an order's error history.
 """
 
 from itertools import permutations
@@ -16,6 +17,7 @@ import numpy as np
 from hullmap.errors import SingularSystemError
 from hullmap.linsys import PIVOT_FLOOR
 from hullmap.mapping import _boundary, _series_terms
+from hullmap.search import MAX_TIGHTENING_ROUNDS
 from hullmap.theta import MAX_BISECTIONS, SCAN_SAMPLES, THETA_TOL
 
 
@@ -89,6 +91,25 @@ def outer_lu_solve(matrix, rhs) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
     return x
+
+
+def replay_floor(history, tolerance):
+    """Floor sweep index of an error history, as the search once computed it, or None.
+
+    The gate is the first sweep under ``tolerance``.  Each of up to
+    `MAX_TIGHTENING_ROUNDS` rounds then targets half the error reached and
+    moves to the first sweep of the whole history under that target.
+    """
+    index = next((k for k, e in enumerate(history) if e < tolerance), None)
+    if index is None:
+        return None
+    for _ in range(MAX_TIGHTENING_ROUNDS):
+        target = 0.5 * history[index]
+        hit = next((k for k, e in enumerate(history) if e < target), None)
+        if hit is None:
+            break
+        index = hit
+    return index
 
 
 def shoelace_area(points: np.ndarray) -> float:

@@ -1,16 +1,25 @@
+from math import nextafter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hullmap.errors import SearchFailedError
-from hullmap.fit import FitConfig, compute_error, fit_section
+import hullmap.search
+from hullmap.errors import ConfigurationError, SearchFailedError
+from hullmap.fit import FitConfig, _fit_result, compute_error, fit_section
+from hullmap.mapping import boundary_from_scaled
 from hullmap.search import (
-    _gate_index,
-    _replay_tightening,
+    MAX_TIGHTENING_ROUNDS,
+    _floor_index,
     min_error_for_order,
     next_tolerance,
     search_optimum,
 )
 from hullmap.shapes import ellipse_section, rectangle_section
+from hullmap.theta import ThetaAssignment
+
+from oracles import replay_floor
 
 
 def test_next_tolerance_subtracts_above_a_tenth():
@@ -25,36 +34,66 @@ def test_next_tolerance_divides_below_a_tenth():
     assert next_tolerance(1e-9) == pytest.approx(1e-10)
 
 
-def test_gate_index_finds_the_first_crossing():
+def test_floor_index_gates_at_the_first_crossing():
     history = [5.0, 1.2, 0.6, 0.8, 0.3]
-    assert _gate_index(history, 1.0) == 2
-    assert _gate_index(history, 10.0) == 0
-    assert _gate_index(history, 0.1) is None
+    # Gate at 0.6; 0.3 is exactly half of it and does not beat it.
+    assert _floor_index(history, 1.0) == 2
+    # Gate at 5.0; halving moves to 1.2, then to 0.3.
+    assert _floor_index(history, 10.0) == 4
+    assert _floor_index(history, 0.1) is None
 
 
-def test_replay_tightening_walks_down_the_history():
+def test_floor_index_walks_down_the_history():
     # Gate at 0.6; halving targets 0.3 -> hits 0.25, then 0.125 -> hits 0.1,
     # then 0.05 -> no entry below, so the floor is 0.1.
     history = [5.0, 0.6, 0.4, 0.25, 0.3, 0.1, 0.2]
-    floor, index = _replay_tightening(history, 1)
-    assert floor == pytest.approx(0.1)
-    assert index == 5
+    assert _floor_index(history, 1.0) == 5
 
 
-def test_replay_tightening_stops_when_no_entry_beats_half():
-    history = [1.0, 0.8, 0.7]
-    floor, index = _replay_tightening(history, 2)
-    assert floor == pytest.approx(0.7)
-    assert index == 2
+def test_floor_index_stops_when_no_entry_beats_half():
+    assert _floor_index([1.0, 0.8, 0.7], 0.75) == 2
+
+
+def test_floor_index_stops_after_the_last_tightening_round():
+    history = [0.4**k for k in range(MAX_TIGHTENING_ROUNDS + 10)]
+    assert _floor_index(history, np.inf) == MAX_TIGHTENING_ROUNDS
+    assert replay_floor(history, np.inf) == MAX_TIGHTENING_ROUNDS
+
+
+@st.composite
+def error_histories(draw):
+    """An error history and a tolerance, with runs of halvings and exact halves.
+
+    Each entry is a fresh error, exactly half of the entry before it, just
+    under that half, or a repeat of it; a run of more than
+    `MAX_TIGHTENING_ROUNDS` entries just under half can sit anywhere.
+    """
+    steps = st.tuples(st.sampled_from(["fresh", "half", "under", "repeat"]), st.floats(0.0, 10.0))
+    before = draw(st.lists(steps, max_size=20))
+    run = [("under", 0.0)] * draw(st.integers(0, MAX_TIGHTENING_ROUNDS + 5))
+    after = draw(st.lists(steps, max_size=20))
+    history: list[float] = []
+    for kind, value in before + [("fresh", draw(st.floats(0.0, 10.0)))] + run + after:
+        last = history[-1] if history else value
+        history.append(
+            {"fresh": value, "half": 0.5 * last, "under": nextafter(0.5 * last, 0.0), "repeat": last}[kind]
+        )
+    tolerance = draw(st.one_of(st.floats(0.0, 20.0), st.sampled_from(history)))
+    return history, tolerance
+
+
+@given(error_histories())
+@settings(max_examples=300)
+def test_floor_index_equals_the_replay_oracle(case):
+    history, tolerance = case
+    assert _floor_index(history, tolerance) == replay_floor(history, tolerance)
 
 
 def test_min_error_for_order_matches_a_manual_replay(rectangle41):
     config = FitConfig(order=6, tolerance=1e-2)
     floor = min_error_for_order(rectangle41, 6, config)
-    result = fit_section(rectangle41, FitConfig(6, 0.0))
-    gate = _gate_index(result.error_history, 1e-2)
-    want, _ = _replay_tightening(result.error_history, gate)
-    assert floor == want
+    history = fit_section(rectangle41, FitConfig(6, 0.0)).error_history
+    assert floor == history[replay_floor(history, 1e-2)]
     assert floor <= 1e-2
 
 
@@ -62,6 +101,86 @@ def test_min_error_without_a_gate_reports_the_best_error(rectangle41):
     floor = min_error_for_order(rectangle41, 5, FitConfig(5, 1e-30))
     best = fit_section(rectangle41, FitConfig(5, 0.0)).error
     assert floor == pytest.approx(best, rel=1e-12)
+
+
+def test_min_error_for_order_rejects_a_config_of_another_order(rectangle41):
+    with pytest.raises(ConfigurationError):
+        min_error_for_order(rectangle41, 6, FitConfig(5, 10.0))
+
+
+def _stub_fits(monkeypatch, section, histories):
+    """Fit each order by replaying its made-up error history; returns the configs received.
+
+    Like the fit, the stub stops at the first sweep under its tolerance.
+    Sweep k's coefficients are (1 + k, 0) and its angles are all 0.01 k.
+    """
+    received: list[FitConfig] = []
+
+    def fit(sec, config):
+        assert sec is section
+        received.append(config)
+        history = histories[config.order]
+        stop = next((k + 1 for k, e in enumerate(history) if e < config.tolerance), len(history))
+        errors = history[:stop]
+        fas = [np.array([1.0 + k, 0.0]) for k in range(stop)]
+        angles = [ThetaAssignment(np.full(len(sec.points), 0.01 * k), ()) for k in range(stop)]
+        converged = errors[-1] < config.tolerance
+        return _fit_result((errors[-1], fas[-1], angles[-1]), errors, fas, angles, converged, False)
+
+    monkeypatch.setattr(hullmap.search, "fit_section", fit)
+    return received
+
+
+def test_an_order_that_misses_its_gate_leaves_the_tolerance(monkeypatch, tiny_symmetric):
+    histories = {5: [20.0, 12.0], 6: [8.0, 3.0, 2.5], 7: [4.0, 2.0]}
+    _stub_fits(monkeypatch, tiny_symmetric, histories)
+    report = search_optimum(tiny_symmetric, (5, 7), e_floor=1e-12)
+    # Order 6 gates at 8.0 and halves to 3.0; order 7 gates under 2.9 at 2.0.
+    assert report.tolerance_trace == [(5, 10.0), (6, 10.0), (7, next_tolerance(3.0))]
+    assert [(r.order, r.e_min, r.iterations) for r in report.per_order] == [(6, 3.0, 3), (7, 2.0, 2)]
+    assert (report.best_order, report.best_error) == (7, 2.0)
+
+
+def test_a_tolerance_below_the_floor_target_is_the_fit_target(monkeypatch, tiny_symmetric):
+    # Order 5's floor 1.05 lies above the floor target 1.0, and the tolerance
+    # it hands on, 0.95, below it: order 6 must fit down to 0.95.
+    histories = {5: [5.0, 1.05, 0.9], 6: [0.98, 0.96, 0.94, 0.93]}
+    received = _stub_fits(monkeypatch, tiny_symmetric, histories)
+    report = search_optimum(tiny_symmetric, (5, 6), e_floor=1.0)
+    assert [(c.order, c.tolerance) for c in received] == [(5, 1.0), (6, next_tolerance(1.05))]
+    assert [(r.order, r.e_min) for r in report.per_order] == [(5, 1.05), (6, 0.94)]
+
+
+def test_the_walk_stops_at_the_floor_target(monkeypatch, tiny_symmetric):
+    histories = {5: [5.0, 2.0], 6: [1.5, 0.5], 7: [0.1]}
+    received = _stub_fits(monkeypatch, tiny_symmetric, histories)
+    report = search_optimum(tiny_symmetric, (5, 7), e_floor=0.5)
+    assert [c.order for c in received] == [5, 6]
+    assert [order for order, _ in report.tolerance_trace] == [5, 6]
+    assert report.best_order == 6 and report.best_error == 0.5
+
+
+def test_best_fit_is_the_floor_sweeps_snapshot(monkeypatch, tiny_symmetric):
+    # The fit runs on to 0.3, but the floor is the halving hit 0.6.
+    histories = {5: [9.0, 4.0, 0.6, 0.5, 0.4, 0.3]}
+    _stub_fits(monkeypatch, tiny_symmetric, histories)
+    report = search_optimum(tiny_symmetric, (5, 5), initial_tolerance=5.0, e_floor=0.35)
+    fit = report.best_fit
+    assert (fit.error, fit.error_history, fit.iterations) == (0.6, [9.0, 4.0, 0.6], 3)
+    assert fit.converged and not fit.diverged
+    assert [fa.tolist() for fa in fit.fa_history] == [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
+    assert fit.coefficients.scale == 3.0
+    assert fit.thetas is fit.theta_history[-1]
+    assert np.array_equal(fit.thetas.theta, np.full(len(tiny_symmetric.points), 0.02))
+    mapped = np.column_stack(boundary_from_scaled(fit.fa_history[-1], fit.thetas.theta))
+    assert np.array_equal(fit.mapped_points, mapped)
+
+
+def test_a_search_that_accepts_no_order_fails(monkeypatch, tiny_symmetric):
+    received = _stub_fits(monkeypatch, tiny_symmetric, {5: [20.0, 11.0], 6: [10.0]})
+    with pytest.raises(SearchFailedError):
+        search_optimum(tiny_symmetric, (5, 6))
+    assert [c.order for c in received] == [5, 6]
 
 
 def test_search_stops_at_the_floor_on_an_exact_shape():

@@ -1,4 +1,5 @@
-from math import asin, cos, pi, sin, sqrt
+from math import asin, cos, hypot, pi, sin, sqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,9 +16,6 @@ from hullmap.theta import (
     ThetaAssignment,
     _batch_roots,
     assign_thetas,
-    endpoint_normal,
-    interior_normal,
-    section_normals,
     theta_residual,
 )
 
@@ -26,61 +24,45 @@ from oracles import lockstep_bisect_roots, projection_residual, scan_and_bisect_
 CIRCLE = ScaledCoefficients(np.array([1.0, 0.0]))
 
 
+def _normals(points, symmetric):
+    """`_free_normals` of bare points: it reads only a section's points and symmetry."""
+    return theta_mod._free_normals(SimpleNamespace(points=np.array(points), symmetric=symmetric))
+
+
 def test_interior_normal_of_a_diagonal_run():
-    pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    n = interior_normal(pts, 1)
-    assert n.cos_phi == pytest.approx(1.0 / sqrt(2.0))
-    assert n.sin_phi == pytest.approx(-1.0 / sqrt(2.0))
-
-
-def test_interior_normal_needs_an_interior_index():
-    pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    with pytest.raises(IndexError):
-        interior_normal(pts, 0)
-    with pytest.raises(IndexError):
-        interior_normal(pts, 2)
+    (n,) = _normals([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], symmetric=True)
+    assert n[0] == pytest.approx(1.0 / sqrt(2.0))
+    assert n[1] == pytest.approx(-1.0 / sqrt(2.0))
 
 
 def test_endpoint_normals_use_the_one_sided_secant():
-    pts = np.array([[0.0, 0.0], [0.2, 0.3], [0.5, 0.5]])
-    first = endpoint_normal(pts, "first")
+    first, _, last = _normals([[0.0, 0.0], [0.2, 0.3], [0.5, 0.5]], symmetric=False)
     ell = sqrt(0.13)
-    assert first.cos_phi == pytest.approx(0.2 / ell)
-    assert first.sin_phi == pytest.approx(-0.3 / ell)
-    last = endpoint_normal(pts, "last")
+    assert first[0] == pytest.approx(0.2 / ell)
+    assert first[1] == pytest.approx(-0.3 / ell)
     ell = sqrt(0.3**2 + 0.2**2)
-    assert last.cos_phi == pytest.approx(0.3 / ell)
-    assert last.sin_phi == pytest.approx(-0.2 / ell)
-
-
-def test_endpoint_normal_rejects_unknown_end():
-    with pytest.raises(ValueError):
-        endpoint_normal(np.zeros((3, 2)), "middle")
+    assert last[0] == pytest.approx(0.3 / ell)
+    assert last[1] == pytest.approx(-0.2 / ell)
 
 
 def test_zero_length_secant_raises():
-    pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(DegenerateNormalError):
-        interior_normal(pts, 1)
+        _normals([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]], symmetric=True)
 
 
 def test_section_normals_leave_pinned_endpoints_unset(tiny_symmetric, tiny_asymmetric):
-    sym = section_normals(tiny_symmetric)
-    assert sym[0] is None and sym[-1] is None
-    assert all(n is not None for n in sym[1:-1])
-    asym = section_normals(tiny_asymmetric)
-    assert all(n is not None for n in asym)
+    # A symmetric section's pinned endpoints get no row; every point of a
+    # non-symmetric one does.
+    assert theta_mod._free_normals(tiny_symmetric).shape == (len(tiny_symmetric.points) - 2, 2)
+    assert theta_mod._free_normals(tiny_asymmetric).shape == (len(tiny_asymmetric.points), 2)
 
 
 def test_normals_depend_only_on_geometry(tiny_symmetric):
     # Angle assignment must not perturb them between sweeps.
-    before = section_normals(tiny_symmetric)
+    before = theta_mod._free_normals(tiny_symmetric)
     assign_thetas(CIRCLE, tiny_symmetric)
-    after = section_normals(tiny_symmetric)
-    assert all(
-        a is b is None or (a.cos_phi == b.cos_phi and a.sin_phi == b.sin_phi)
-        for a, b in zip(before, after)
-    )
+    after = theta_mod._free_normals(tiny_symmetric)
+    assert np.array_equal(before, after)
 
 
 def test_residual_of_point_off_the_circle():
@@ -226,26 +208,49 @@ def _lockstep(scaled, pts, normals, lo, hi, prefer):
     return lockstep_bisect_roots(scaled, pts, listed, list(range(len(pts))), lo, hi, prefer)
 
 
-# One row: kind, x, y, phi, lo, width, hint offset, scan sample j, hint
-# kind, hint sample shift d.  Widths <= 0 give empty brackets.  The other kinds
+# One row: kind, x, y, phi, lo, width, hint offset, scan sample j,
+# hint kind, hint sample shift d.  The kinds other than "free" and "tie"
 # place the point so that the residual is zero to rounding at a sample or at
 # a first bisection midpoint, which makes the candidate and the root depend
 # on the residual's last bits: "centreline" is (0, y) against a vertical
 # normal with lo = 0 (an exact zero at the first sample for any
 # coefficients); "sample" and "midpoint" put the point on the boundary at
-# scan sample j or halfway to sample j + 1.  The hint kinds decide whether
-# the 4 samples around the hint settle the row's pick: "offset" puts it at
-# lo + the hint offset, "sample" and "midpoint" on scan sample i = j + d or
-# halfway to sample i + 1, near the point's root for the point kinds that
-# place one, where a candidate outside those 4 samples can tie with one
-# inside, "lo" and "hi" on the bracket's ends, and "far" well below it.
+# scan sample j or halfway to sample j + 1.  "tie" puts the hint on sample
+# k = j (kept in 2..61) and the point and normal where the normal line meets
+# the boundary at the midpoints of intervals k - 2 and k + 1: the two
+# candidates are 1.5 steps from the hint, and the lower one lies outside the
+# hint's 4 samples, so only the full scan may pick it.  The hint kinds
+# decide whether those 4 samples settle the other rows' picks: "offset" puts
+# the hint at lo + the hint offset, "sample" and "midpoint" on scan sample
+# i = j + d or halfway to sample i + 1, near the point's root for the point
+# kinds that place one, where a candidate outside those 4 samples can tie
+# with one inside, "lo" and "hi" on the bracket's ends, and "far" well
+# below it.
+#
+# The width comes from a choice 0..31: a float width up to 3 for 0..27 and
+# an empty bracket for 28..30.  Choice 31 is the bracket [0,
+# UNDERFLOW_WIDTH], 20 subnormal ulps, whose scan step underflows: one such
+# row sends the whole batch to linspace and the full grid, so it is kept
+# rare, and the float widths are never subnormal.  Most batches then reach
+# `_window_picks`.
+UNDERFLOW_WIDTH = 1e-322
+
+
+def _width(choice: int):
+    if choice == 31:
+        return st.just(UNDERFLOW_WIDTH)
+    if choice >= 28:
+        return st.floats(-0.5, 0.0)
+    return st.floats(0.0, 3.0, exclude_min=True, allow_subnormal=False)
+
+
 BATCH_ROW = st.tuples(
-    st.sampled_from(["free", "centreline", "sample", "midpoint"]),
+    st.sampled_from(["free", "centreline", "sample", "midpoint", "tie"]),
     st.floats(-1.5, 1.5),
     st.floats(0.0, 1.5),
     st.floats(0.0, 2.0 * pi),
     st.floats(-2.0, 1.0),
-    st.one_of(st.just(0.0), st.floats(-0.5, 3.0)),
+    st.integers(0, 31).flatmap(_width),
     st.floats(-1.0, 4.0),
     st.integers(0, theta_mod.SCAN_SAMPLES - 2),
     st.sampled_from(["offset", "sample", "midpoint", "lo", "hi", "far"]),
@@ -266,7 +271,7 @@ def test_batch_roots_equal_the_lockstep_oracle_bit_for_bit(values, rows):
     # Whole batches are compared: a row's bits depend on the rows sharing its
     # residual calls.
     scaled = ScaledCoefficients(values)
-    lo = np.array([0.0 if row[0] == "centreline" else row[4] for row in rows])
+    lo = np.array([0.0 if row[0] == "centreline" or row[5] == UNDERFLOW_WIDTH else row[4] for row in rows])
     hi = lo + np.array([row[5] for row in rows])
     # Each row's own scan samples, as the solver places them when no
     # other row's step underflows.
@@ -289,6 +294,17 @@ def test_batch_roots_equal_the_lockstep_oracle_bit_for_bit(values, rows):
             pts[i], normals[i] = (0.0, y), (1.0, 0.0)
         elif kind == "free":
             pts[i] = (x, y)
+        elif kind == "tie":
+            k = min(max(j, 2), theta_mod.SCAN_SAMPLES - 3)
+            ends = [boundary_from_scaled(values, 0.5 * (grid[i, m] + grid[i, m + 1])) for m in (k - 2, k + 1)]
+            (x0, y0), (x1, y1) = ends
+            length = hypot(x1 - x0, y1 - y0)
+            if length:
+                pts[i] = (0.5 * (x0 + x1), 0.5 * (y0 + y1))
+                normals[i] = ((y1 - y0) / length, (x1 - x0) / length)
+            else:
+                pts[i] = (x, y)
+            prefer[i] = grid[i, k]
         else:
             t = grid[i, j] if kind == "sample" else 0.5 * (grid[i, j] + grid[i, j + 1])
             pts[i] = boundary_from_scaled(values, t)
