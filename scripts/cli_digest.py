@@ -6,8 +6,16 @@ The commands run in-process, with --no-timing, in a temporary directory:
 `lewis` and `fit --n 8` on circle41, ellipse41 and heeled_rectangle(21,
 15 deg) offsets, and `search` on circle41 and ellipse41, each with
 --emit json,csv,svg; then `evaluate --samples 10000 --emit json,csv` of
-every fit report.  The digest covers every command's exit code and the name
-and bytes of every file it wrote.
+every fit report and of two bare coefficient files, {"F": 1e17, "a": [1.0,
+0.1, -0.02]} symmetric and the same with F = 1e-6 asymmetric.  The digest
+covers every command's exit code and the name and bytes of every file it
+wrote.
+
+The report writer spells runs of floats by orjson only where every value is
+zero or of magnitude in [1e-4, 1e16), and by float.__repr__ elsewhere.  The
+fitted sections' contours take the first path almost everywhere; the two
+bare files put every piece of their contours outside that range (near 1e17,
+and near 1e-6), so the digest also covers the second path.
 
 hullmap is imported from whatever tree is on PYTHONPATH, so running the
 script against two checkouts shows whether a change keeps the CLI's output
@@ -19,6 +27,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -33,6 +42,10 @@ SECTIONS = {
     "heeled_rectangle21": lambda: heeled_rectangle(21, heel_deg=15.0),
 }
 SEARCHED = ("circle41", "ellipse41")
+BARE = {
+    "huge": {"F": 1e17, "a": [1.0, 0.1, -0.02], "symmetric": True},
+    "tiny": {"F": 1e-6, "a": [1.0, 0.1, -0.02], "symmetric": False},
+}
 ALL_FORMATS = ("--emit", "json,csv,svg", "--no-timing")
 
 
@@ -72,12 +85,16 @@ def main() -> None:
             commands.append(["fit", "--input", str(source), "--n", "8", *ALL_FORMATS])
         for name in SEARCHED:
             commands.append(["search", "--input", str(inputs / f"{name}.txt"), *ALL_FORMATS])
-        fit_reports = []
+        to_evaluate = []
         for index, argv in enumerate(commands):
             written = _record(total, index, argv, root, args.verbose)
             if argv[0] == "fit":
-                fit_reports.extend(path for path in written if path.name.endswith("_fit.json"))
-        for index, report in enumerate(fit_reports, start=len(commands)):
+                to_evaluate.extend(path for path in written if path.name.endswith("_fit.json"))
+        for name, coefficients in BARE.items():
+            source = inputs / f"{name}.json"
+            source.write_text(json.dumps(coefficients))
+            to_evaluate.append(source)
+        for index, report in enumerate(to_evaluate, start=len(commands)):
             argv = ["evaluate", "--input", str(report), "--samples", "10000", "--emit", "json,csv"]
             _record(total, index, argv, root, args.verbose)
     if args.verbose:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -79,11 +80,17 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
         raise ValueError(f"unknown emit format(s): {', '.join(bad)}")
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    order = getattr(args, "n", None)
+    if order is not None and order < 1:
+        raise ValueError(f"--n must be at least 1, got {order}")
+    tolerance = getattr(args, "sigma_e", None)
+    if tolerance is not None and not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"--sigma-e must be finite and at least 0, got {tolerance}")
     return RunSpec(
         mode=args.mode,
         input_path=args.input,
-        order=getattr(args, "n", None),
-        tolerance=getattr(args, "sigma_e", None),
+        order=order,
+        tolerance=tolerance,
         out_dir=args.out,
         emit=emit or ("json",),
         samples=args.samples,
@@ -279,6 +286,10 @@ def _run(spec: RunSpec) -> int:
     if spec.mode == "fit":
         if spec.order is None:
             print("usage: fit needs --n", file=sys.stderr)
+            return 2
+        if section.symmetric and spec.order < 2:
+            print(f"usage: --n must be at least 2 for a symmetric section, got {spec.order}",
+                  file=sys.stderr)
             return 2
         tolerance = spec.tolerance if spec.tolerance is not None else 1e-6 * scale * scale
         started = time.perf_counter()

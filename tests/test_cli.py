@@ -86,6 +86,42 @@ def test_fit_requires_an_order(rect_file, tmp_path, capsys):
     assert "needs --n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n", "5", "--sigma-e", "nan"],
+        ["--n", "5", "--sigma-e", "inf"],
+        ["--n", "5", "--sigma-e=-inf"],
+        ["--n", "5", "--sigma-e", "-1"],
+        ["--n", "0"],
+        ["--n", "-3"],
+        ["--n", "1"],
+    ],
+)
+def test_fit_flags_out_of_range_are_usage_errors(rect_file, tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.setattr(cli_mod, "fit_section", lambda *args: pytest.fail("fit ran"))
+    assert run("fit", "--input", rect_file, *flags, "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_a_zero_tolerance_fits_to_the_sweep_budget(rect_file, tmp_path, monkeypatch):
+    real = cli_mod.fit_section
+    configs = []
+
+    def spy(section, config):
+        configs.append(config)
+        return real(section, config)
+
+    monkeypatch.setattr(cli_mod, "fit_section", spy)
+    code = run("fit", "--input", rect_file, "--n", "3", "--sigma-e", "0", "--out", tmp_path)
+    assert code == 0
+    assert configs[0].tolerance == 0.0
+    assert read_report(tmp_path / "rect_fit.json")["converged"] is False
+
+
 def test_unknown_emit_format_is_a_usage_error(rect_file, tmp_path, capsys):
     code = run("fit", "--input", rect_file, "--n", "5", "--out", tmp_path, "--emit", "png")
     assert code == 2

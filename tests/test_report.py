@@ -1,6 +1,8 @@
 import json
+import math
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,9 +136,74 @@ def test_lists_longer_than_one_piece_match_json_dumps():
     floats = np.linspace(-1.0, 1.0, 700).tolist()
     rows = np.column_stack([floats, floats]).tolist()
     floats[300] = float("nan")
+    floats[100] = 3.5e-5  # orjson writes 0.000035, json 3.5e-05
     rows[600][1] = 3
+    rows[20][0] = -2.5e16  # orjson writes -2.5e16, json -2.5e+16
     payload = {"floats": floats, "rows": rows, "mixed": [*floats[:10], [1.0], *floats]}
     assert "".join(report_pieces(payload)) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+# Where orjson's spelling and json's meet or part: the ends of the range
+# [1e-4, 1e16) both write positionally, the largest and smallest floats,
+# and values whose shortest digits are not their nearest ones.
+BOUNDARY_FLOATS = [
+    0.0,
+    -0.0,
+    1e-4,
+    math.nextafter(1e-4, 0.0),
+    9.9e-05,
+    1e15,
+    math.nextafter(1e16, 0.0),
+    1e16,
+    2.0**53,
+    0.1,
+    0.30000000000000004,
+    5e-324,
+    1.7976931348623157e308,
+]
+
+
+@pytest.mark.parametrize("value", [v * sign for v in BOUNDARY_FLOATS for sign in (1.0, -1.0)])
+def test_boundary_floats_match_json_dumps(value):
+    for payload in ({"run": [value] * 3}, {"rows": [[value, 0.5], [0.25, value]]}):
+        assert "".join(report_pieces(payload)) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _spelled_alike(values: np.ndarray) -> None:
+    floats = values.tolist()
+    payload = {"run": floats, "rows": [floats[i:i + 3] for i in range(0, len(floats), 3)]}
+    assert "".join(report_pieces(payload)) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_random_floats_match_json_dumps():
+    rng = np.random.default_rng(9)
+    bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64).view(float)
+    _spelled_alike(bits[np.isfinite(bits)])
+    in_range = 10.0 ** rng.uniform(-4.0, 16.0, 100_000) * rng.choice([-1.0, 1.0], 100_000)
+    _spelled_alike(in_range[np.abs(in_range) < 1e16])
+    # 2**50 + k/4 for odd k lies halfway between two 17-digit spellings;
+    # both writers must pick the even one.
+    _spelled_alike(2.0**50 + np.arange(1, 4001, 2) / 4.0)
+
+
+def test_in_range_contours_are_spelled_by_orjson(monkeypatch):
+    # A stand-in orjson.dumps that writes every 9 as 8: the report shows
+    # its text only where a piece took the fast path.
+    real = orjson.dumps
+    calls = []
+
+    def eights(obj, option=None):
+        calls.append(obj)
+        return real(obj, option=option).replace(b"9", b"8")
+
+    monkeypatch.setattr(orjson, "dumps", eights)
+    # cos(pi / 2) is 6e-17, which json spells with an exponent, so stop short.
+    theta = np.linspace(0.0, 1.5, 1000)
+    contour = np.column_stack([theta, np.sin(theta), np.cos(theta)]).tolist()
+    payload = {"contour": contour, "thetas": theta.tolist()}
+    text = "".join(report_pieces(payload))
+    assert len(calls) == 2 * 4  # each list of 1000 is 4 pieces of up to 256
+    assert text == json.dumps(payload, indent=2, sort_keys=True).replace("9", "8")
 
 
 def test_write_report_ends_the_text_with_a_newline(tmp_path):

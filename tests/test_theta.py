@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import hullmap.theta as theta_mod
@@ -266,7 +266,9 @@ BATCH_ROW = st.tuples(
     ),
     st.lists(BATCH_ROW, min_size=1, max_size=40),
 )
-@settings(max_examples=150)
+# No shrink phase: shrinking a failing batch of up to 40 rows took minutes
+# and over 1 GB, while the unshrunk batch already names the failure.
+@settings(max_examples=150, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 def test_batch_roots_equal_the_lockstep_oracle_bit_for_bit(values, rows):
     # Whole batches are compared: a row's bits depend on the rows sharing its
     # residual calls.
