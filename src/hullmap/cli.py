@@ -19,7 +19,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from math import pi
 from pathlib import Path
 
@@ -38,18 +37,8 @@ from .search import search_optimum
 from .section import full_area, load_offsets
 
 DEFAULT_SAMPLES = 256
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    mode: str
-    input_path: Path
-    order: int | None
-    tolerance: float | None
-    out_dir: Path
-    emit: tuple[str, ...]
-    samples: int
-    timing: bool
+# The plot fits in a square of this many pixels.
+SVG_SIZE = 640
 
 
 @functools.cache
@@ -73,29 +62,20 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace) -> RunSpec:
+def _check_args(args: argparse.Namespace) -> None:
+    """Reject out-of-range flags; ``args.emit`` becomes a tuple of formats."""
     emit = tuple(part.strip() for part in args.emit.split(",") if part.strip())
     bad = [e for e in emit if e not in ("json", "csv", "svg")]
     if bad:
         raise ValueError(f"unknown emit format(s): {', '.join(bad)}")
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    order = getattr(args, "n", None)
-    if order is not None and order < 1:
-        raise ValueError(f"--n must be at least 1, got {order}")
-    tolerance = getattr(args, "sigma_e", None)
-    if tolerance is not None and not 0.0 <= tolerance < math.inf:
-        raise ValueError(f"--sigma-e must be finite and at least 0, got {tolerance}")
-    return RunSpec(
-        mode=args.mode,
-        input_path=args.input,
-        order=order,
-        tolerance=tolerance,
-        out_dir=args.out,
-        emit=emit or ("json",),
-        samples=args.samples,
-        timing=not args.no_timing,
-    )
+    if args.mode == "fit":
+        if args.n is not None and args.n < 1:
+            raise ValueError(f"--n must be at least 1, got {args.n}")
+        if args.sigma_e is not None and not 0.0 <= args.sigma_e < math.inf:
+            raise ValueError(f"--sigma-e must be finite and at least 0, got {args.sigma_e}")
+    args.emit = emit or ("json",)
 
 
 # `_write_csv` formats each run of up to this many rows with one
@@ -113,22 +93,24 @@ def _write_csv(path: Path, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> N
             handle.write("%.12g,%.12g,%.12g\n" * (len(part) // 3) % tuple(part))
 
 
-def _write_svg(path: Path, curves, markers=None, size: int = 640) -> None:
-    """Plot curves and point markers with the y axis pointing down, like the data."""
-    stacks = [np.asarray(c) for _, c in curves]
-    if markers is not None and len(markers):
-        stacks.append(np.asarray(markers))
+def _write_svg(path: Path, curves, markers) -> None:
+    """Plot (label, points) curves and point markers, y pointing down like the data.
+
+    The curve labelled "lewis" is drawn dashed in green, every other in red.
+    """
+    stacks = [pts for _, pts in curves]
+    if markers is not None:
+        stacks.append(markers)
     allpts = np.vstack(stacks)
     x_lo, y_lo = allpts.min(axis=0)
     x_hi, y_hi = allpts.max(axis=0)
     y_lo = min(y_lo, 0.0)
     span = max(x_hi - x_lo, y_hi - y_lo, 1e-9)
     pad = 0.06 * span
-    scale = (size - 2.0) / (span + 2.0 * pad)
+    scale = (SVG_SIZE - 2.0) / (span + 2.0 * pad)
 
     def to_px(pts):
         """Pixel x and y of an (n, 2) array of points, as lists of Python floats."""
-        pts = np.asarray(pts, dtype=float)
         return (
             ((pts[:, 0] - x_lo + pad) * scale).tolist(),
             ((pts[:, 1] - y_lo + pad) * scale).tolist(),
@@ -146,15 +128,13 @@ def _write_svg(path: Path, curves, markers=None, size: int = 640) -> None:
         f'<line x1="0" y1="{wl_y:.2f}" x2="{width}" y2="{wl_y:.2f}" '
         'stroke="#9ab" stroke-width="1" stroke-dasharray="6 4"/>'
     )
-    palette = {"mapped": "#d33", "lewis": "#2a7", "contour": "#d33"}
     for label, pts in curves:
-        colour = palette.get(label, "#36c")
         coords = " ".join(map("{:.2f},{:.2f}".format, *to_px(pts)))
-        dash = ' stroke-dasharray="5 4"' if label == "lewis" else ""
+        colour, dash = ("#2a7", ' stroke-dasharray="5 4"') if label == "lewis" else ("#d33", "")
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{colour}" stroke-width="1.6"{dash}/>'
         )
-    if markers is not None and len(markers):
+    if markers is not None:
         circle = (
             '<circle cx="{:.2f}" cy="{:.2f}" r="2.4" fill="none" stroke="#222" stroke-width="1"/>'
         )
@@ -163,13 +143,8 @@ def _write_svg(path: Path, curves, markers=None, size: int = 640) -> None:
     path.write_text("\n".join(parts) + "\n")
 
 
-def _theta_domain(symmetric: bool) -> tuple[float, float]:
-    return (0.0, pi / 2.0) if symmetric else (-pi / 2.0, pi / 2.0)
-
-
 def _sample_contour(coeffs: MappingCoefficients, symmetric: bool, samples: int):
-    lo, hi = _theta_domain(symmetric)
-    theta = np.linspace(lo, hi, samples)
+    theta = np.linspace(0.0 if symmetric else -pi / 2.0, pi / 2.0, samples)
     x, y = evaluate_boundary(coeffs, theta)
     return theta, x, y
 
@@ -186,34 +161,35 @@ def _coefficients_payload(coeffs: MappingCoefficients, symmetric: bool) -> dict:
     }
 
 
-def _emit(spec: RunSpec, stem: str, report: dict, contour, label: str, markers=None, lewis=None) -> bool:
+def _emit(args, stem: str, report: dict, contour, summary: str, markers=None, lewis=None) -> int:
     """Write ``report`` as json and, on request, ``contour`` as csv and a plot as svg.
 
-    The plot draws the contour under ``label``, the Lewis seed of a symmetric
-    section when one is given, and the offsets as markers.  An output file
-    that cannot be written is a usage error: it is reported on stderr and
-    False is returned.
+    The plot draws the contour, the Lewis seed ``lewis`` of a fitted
+    symmetric section when one is given, and the offsets as markers.  Returns
+    the exit code: 0 after printing ``summary``, or 2 for an output file that
+    cannot be written, which is reported on stderr.
     """
     theta, x, y = contour
-    path = spec.out_dir / f"{stem}_{spec.mode}.json"
+    path = args.out / f"{stem}_{args.mode}.json"
     try:
-        if "json" in spec.emit:
+        if "json" in args.emit:
             write_report(path, report)
-        if "csv" in spec.emit:
-            path = spec.out_dir / f"{stem}_contour.csv"
+        if "csv" in args.emit:
+            path = args.out / f"{stem}_contour.csv"
             _write_csv(path, theta, x, y)
-        if "svg" in spec.emit:
-            curves = [(label, np.column_stack([x, y]))]
+        if "svg" in args.emit:
+            curves = [(args.mode, np.column_stack([x, y]))]
             if lewis is not None:
-                _, lx, ly = _sample_contour(lewis, True, spec.samples)
+                _, lx, ly = _sample_contour(lewis, True, args.samples)
                 curves.append(("lewis", np.column_stack([lx, ly])))
-            path = spec.out_dir / f"{stem}_plot.svg"
-            _write_svg(path, curves, markers=markers)
+            path = args.out / f"{stem}_plot.svg"
+            _write_svg(path, curves, markers)
     except OSError as exc:
-        print(f"usage: --out {spec.out_dir}: cannot write {path.name} ({exc.strerror})",
+        print(f"usage: --out {args.out}: cannot write {path.name} ({exc.strerror})",
               file=sys.stderr)
-        return False
-    return True
+        return 2
+    print(summary)
+    return 0
 
 
 def _is_number(value) -> bool:
@@ -236,103 +212,97 @@ def _load_coefficients(path: Path) -> tuple[MappingCoefficients, bool]:
     if not isinstance(block["a"], list) or not all(map(_is_number, block["a"])):
         raise ValueError("a must be a list of numbers")
     coeffs = MappingCoefficients(float(block["F"]), np.asarray(block["a"], dtype=float))
+    # F * sum |a_n| bounds every contour coordinate and the sums behind
+    # sigma_a and sigma_b; the factor 2 covers their rounding.
+    if not math.isfinite(2.0 * coeffs.scale * sum(map(abs, coeffs.a.tolist()))):
+        raise ValueError("coefficients too large: 2 F sum |a_n| must be finite")
     return coeffs, symmetric
 
 
-def _run(spec: RunSpec) -> int:
+def _run(args: argparse.Namespace) -> int:
     try:
-        spec.out_dir.mkdir(parents=True, exist_ok=True)
+        args.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"usage: --out {spec.out_dir} is not a usable directory ({exc.strerror})",
+        print(f"usage: --out {args.out} is not a usable directory ({exc.strerror})",
               file=sys.stderr)
         return 2
-    stem = spec.input_path.stem
+    stem = args.input.stem
 
-    if spec.mode == "evaluate":
+    if args.mode == "evaluate":
         try:
-            coeffs, symmetric = _load_coefficients(spec.input_path)
+            coeffs, symmetric = _load_coefficients(args.input)
         except (OSError, ValueError, TypeError, KeyError, OverflowError) as exc:
             print(f"parse: {exc}", file=sys.stderr)
             return 3
-        contour = _sample_contour(coeffs, symmetric, spec.samples)
+        contour = _sample_contour(coeffs, symmetric, args.samples)
         payload = _coefficients_payload(coeffs, symmetric)
-        payload["samples"] = spec.samples
+        payload["samples"] = args.samples
         payload["contour"] = np.column_stack(contour).tolist()
-        if not _emit(spec, stem, payload, contour, "contour"):
-            return 2
-        print(f"evaluated N={coeffs.order} at {spec.samples} angles")
-        return 0
+        summary = f"evaluated N={coeffs.order} at {args.samples} angles"
+        return _emit(args, stem, payload, contour, summary)
 
     try:
-        section = load_offsets(spec.input_path)
+        section = load_offsets(args.input)
     except (OSError, OffsetsParseError, SectionValidationError) as exc:
         print(f"parse: {exc}", file=sys.stderr)
         return 3
 
-    scale = max(section.breadth, section.draft)
     lewis = lewis_initial_guess(section.breadth, section.draft, full_area(section))
 
-    if spec.mode == "lewis":
+    if args.mode == "lewis":
         payload = _coefficients_payload(lewis.coefficients, section.symmetric)
         payload["area_matched"] = lewis.area_matched
-        contour = _sample_contour(lewis.coefficients, section.symmetric, spec.samples)
-        if not _emit(spec, stem, payload, contour, "lewis", section.points):
-            return 2
-        print(f"lewis seed F={lewis.coefficients.scale:.6g} area_matched={lewis.area_matched}")
-        return 0
+        contour = _sample_contour(lewis.coefficients, section.symmetric, args.samples)
+        summary = f"lewis seed F={lewis.coefficients.scale:.6g} area_matched={lewis.area_matched}"
+        return _emit(args, stem, payload, contour, summary, section.points)
 
-    # Fitted plots of symmetric sections overlay the Lewis seed.
-    overlay = lewis.coefficients if section.symmetric else None
-    if spec.mode == "fit":
-        if spec.order is None:
+    if args.mode == "fit":
+        if args.n is None:
             print("usage: fit needs --n", file=sys.stderr)
             return 2
-        if section.symmetric and spec.order < 2:
-            print(f"usage: --n must be at least 2 for a symmetric section, got {spec.order}",
+        if section.symmetric and args.n < 2:
+            print(f"usage: --n must be at least 2 for a symmetric section, got {args.n}",
                   file=sys.stderr)
             return 2
-        tolerance = spec.tolerance if spec.tolerance is not None else 1e-6 * scale * scale
+        scale = max(section.breadth, section.draft)
+        tolerance = args.sigma_e if args.sigma_e is not None else 1e-6 * scale * scale
         started = time.perf_counter()
-        result = fit_section(section, FitConfig(spec.order, tolerance))
+        best = fit_section(section, FitConfig(args.n, tolerance))
         elapsed = time.perf_counter() - started
-        if result.diverged:
+        if best.diverged:
             print("fit: diverged (singular system or lost scale positivity)", file=sys.stderr)
             return 4
-        ex, ey = nash_sutcliffe(section.points, result.mapped_points)
-        accuracy = AccuracyReport(ex, ey, elapsed if spec.timing else 0.0)
-        report = build_report(result, accuracy, stem, section.symmetric)
-        report["converged"] = result.converged
-        report["iterations"] = result.iterations
-        contour = _sample_contour(result.coefficients, section.symmetric, spec.samples)
-        if not _emit(spec, stem, report, contour, "mapped", section.points, overlay):
-            return 2
-        state = "converged" if result.converged else "stopped"
-        print(f"fit {state}: N={spec.order} E={result.error:.6g} after {result.iterations} sweeps")
-        return 0
+        outcome = None
+    else:
+        started = time.perf_counter()
+        try:
+            outcome = search_optimum(section)
+        except SearchFailedError as exc:
+            print(f"search: {exc}", file=sys.stderr)
+            return 5
+        elapsed = time.perf_counter() - started
+        best = outcome.best_fit
 
-    # search
-    started = time.perf_counter()
-    try:
-        outcome = search_optimum(section)
-    except SearchFailedError as exc:
-        print(f"search: {exc}", file=sys.stderr)
-        return 5
-    elapsed = time.perf_counter() - started
-    best = outcome.best_fit
     ex, ey = nash_sutcliffe(section.points, best.mapped_points)
-    accuracy = AccuracyReport(ex, ey, elapsed if spec.timing else 0.0)
+    accuracy = AccuracyReport(ex, ey, 0.0 if args.no_timing else elapsed)
     report = build_report(best, accuracy, stem, section.symmetric, search=outcome)
-    if not spec.timing:
-        for row in report["per_N"]:
-            row["seconds"] = 0.0
-    contour = _sample_contour(best.coefficients, section.symmetric, spec.samples)
-    if not _emit(spec, stem, report, contour, "mapped", section.points, overlay):
-        return 2
-    print(
-        f"search optimum: N={outcome.best_order} E={outcome.best_error:.6g} "
-        f"({len(outcome.per_order)} accepted orders)"
-    )
-    return 0
+    if outcome is None:
+        report["converged"] = best.converged
+        report["iterations"] = best.iterations
+        state = "converged" if best.converged else "stopped"
+        summary = f"fit {state}: N={args.n} E={best.error:.6g} after {best.iterations} sweeps"
+    else:
+        if args.no_timing:
+            for row in report["per_N"]:
+                row["seconds"] = 0.0
+        summary = (
+            f"search optimum: N={outcome.best_order} E={outcome.best_error:.6g} "
+            f"({len(outcome.per_order)} accepted orders)"
+        )
+    contour = _sample_contour(best.coefficients, section.symmetric, args.samples)
+    # Fitted plots of symmetric sections overlay the Lewis seed.
+    overlay = lewis.coefficients if section.symmetric else None
+    return _emit(args, stem, report, contour, summary, section.points, overlay)
 
 
 def main(argv=None) -> int:
@@ -342,14 +312,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        spec = _spec_from_args(args)
+        _check_args(args)
     except ValueError as exc:
         print(f"usage: {exc}", file=sys.stderr)
         return 2
     try:
-        return _run(spec)
+        return _run(args)
     except HullmapError as exc:
-        stage = "fit" if spec.mode in ("fit", "lewis") else spec.mode
+        stage = "fit" if args.mode in ("fit", "lewis") else args.mode
         print(f"{stage}: {exc}", file=sys.stderr)
         return 4 if stage == "fit" else 5 if stage == "search" else 1
 

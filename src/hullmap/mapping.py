@@ -79,10 +79,6 @@ class ScaledCoefficients:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    @classmethod
-    def from_mapping(cls, coeffs: MappingCoefficients) -> "ScaledCoefficients":
-        return cls(coeffs.scale * coeffs.a)
-
     def to_mapping(self) -> MappingCoefficients:
         if not self.values[0] > 0.0:
             raise ValueError("leading scaled coefficient must be positive")

@@ -70,8 +70,11 @@ def section_extents(points: np.ndarray, symmetric: bool) -> tuple[float, float, 
         raise DegenerateSectionError("draft must be positive")
     if breadth <= 0.0:
         raise DegenerateSectionError("breadth must be positive")
-    if not np.isfinite(breadth):
-        raise DegenerateSectionError("breadth overflows")
+    # The area, the fit error and the default tolerances are sums or
+    # multiples of squared coordinates; this keeps them all finite.
+    extent = 2.0 * max(breadth, draft)
+    if not np.isfinite(len(pts) * extent * extent):
+        raise DegenerateSectionError("breadth or draft too large: n (2 max(B, D))^2 overflows")
     return breadth, draft, left, right
 
 

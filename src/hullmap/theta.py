@@ -254,14 +254,14 @@ def _enclosures(series, sums, xc, ys, cos_phi, sin_phi, cs, xys, a, b, a_neg):
     return r, eta
 
 
-def _block_length(width: float, tol: float, t_max: float) -> int:
+def _block_length(width: float, t_max: float) -> int:
     """Bisection steps that no bracket at least ``width`` wide can close in.
 
     That is 1 + the largest j with width >= tau * 2**j, and 1 if there is
-    none, for tau = tol + 4u (tol + t_max) and brackets inside
+    none, for tau = THETA_TOL + 4u (THETA_TOL + t_max) and brackets inside
     [-t_max, t_max]; `_batch_roots` derives it.
     """
-    tau = tol + 4.0 * _UNIT * (tol + t_max)
+    tau = THETA_TOL + 4.0 * _UNIT * (THETA_TOL + t_max)
     exponent = frexp(width / tau)[1]
     if ldexp(tau, exponent - 1) > width:
         exponent -= 1
@@ -384,7 +384,6 @@ def _batch_roots(
     lo: np.ndarray,
     hi: np.ndarray,
     prefer: np.ndarray,
-    tol: float = THETA_TOL,
 ) -> list:
     """Roots of the projection residual, one per row of ``points``, or None each.
 
@@ -394,8 +393,9 @@ def _batch_roots(
     sample) and every sign change (placed at its interval's midpoint) is a
     candidate; the one nearest ``prefer[k]`` is kept, zeros before sign
     changes and the lower sample first on a tie.  Kept sign changes are
-    refined by bisection in lockstep across rows.  An empty bracket or a scan
-    without a candidate gives None.
+    refined by bisection in lockstep across rows, each until it is at most
+    tol = `THETA_TOL` wide.  An empty bracket or a scan without a candidate
+    gives None.
 
     Only the signs of `_residual`, and whether it is exactly zero, decide
     anything, so a sign proved by a cheaper computation stands in for a call.
@@ -453,8 +453,8 @@ def _batch_roots(
     full scan: g at all its samples, and if any of those is in doubt,
     `_residual` on the whole grid of every usable row, the call that was
     made before any certificate, so the rows it decides see the same bits.
-    Where every full-scan sign is certified no sample is an exact zero, and
-    the pick skips the zeros.
+    Where every full-scan sign is certified no sample is an exact zero, so
+    the pick is the nearest sign change, as the float signs give it.
 
     Bisection.  Each kept interval [a, b], of width h, gets an enclosure from
     f and f' at its centre: |f''| <= M2 = cs B2, so
@@ -526,28 +526,23 @@ def _batch_roots(
     bisect = found.copy()
     rest = np.flatnonzero(~found)
     if rest.size:
-        grid = _scan_grid(lo[rest], hi[rest])
+        whole = _scan_grid(lo, hi)
+        grid = whole[rest]
         res = _horner_residual(values, *(v[rest] for v in rows), grid)
-        certain = bool((np.abs(res) > doubt[rest, None]).all())
-        if not certain:
-            whole = grid if rest.size == usable.size else _scan_grid(lo, hi)
+        if not (np.abs(res) > doubt[rest, None]).all():
             res = _residual(terms, *rows, whole)[rest]
-        neg, pos = res < 0.0, res > 0.0
+        neg, pos, zero = res < 0.0, res > 0.0, res == 0.0
         flip = (neg[:, :-1] & pos[:, 1:]) | (pos[:, :-1] & neg[:, 1:])
+        # One distance per sample for the zeros, then one per interval for
+        # the sign changes, inf where there is no candidate: argmin returns
+        # the first nearest candidate in that order.
         hint_col = hint[rest, None]
-        keys = np.where(flip, np.abs(0.5 * (grid[:, :-1] + grid[:, 1:]) - hint_col), np.inf)
-        changes = flip.any(axis=1)
-        if certain:
-            # Column SCAN_SAMPLES + k of the full pick is interval k.
-            pick = keys.argmin(axis=1) + SCAN_SAMPLES
-        else:
-            # One distance per sample for the zeros, then one per interval
-            # for the sign changes, inf where there is no candidate: argmin
-            # returns the first nearest candidate in that order.
-            zero = res == 0.0
-            keys = np.concatenate([np.where(zero, np.abs(grid - hint_col), np.inf), keys], axis=1)
-            pick = keys.argmin(axis=1)
-            changes |= zero.any(axis=1)
+        keys = np.concatenate([
+            np.where(zero, np.abs(grid - hint_col), np.inf),
+            np.where(flip, np.abs(0.5 * (grid[:, :-1] + grid[:, 1:]) - hint_col), np.inf),
+        ], axis=1)
+        pick = keys.argmin(axis=1)
+        changes = flip.any(axis=1) | zero.any(axis=1)
         found[rest] = changes
         # The picked zero, or the left end of the picked sign change.
         left = pick % SCAN_SAMPLES
@@ -581,7 +576,7 @@ def _batch_roots(
     steps = 0
     while steps < MAX_BISECTIONS:
         width = state[1] - state[0]
-        still_open = width > tol
+        still_open = width > THETA_TOL
         if np.count_nonzero(still_open) < jobs.size:
             closed = ~still_open
             out[jobs[closed]] = 0.5 * (state[0, closed] + state[1, closed])
@@ -590,7 +585,7 @@ def _batch_roots(
         if not jobs.size:
             break
         if certified:
-            count = min(_block_length(float(width.min()), tol, t_max), MAX_BISECTIONS - steps)
+            count = min(_block_length(float(width.min()), t_max), MAX_BISECTIONS - steps)
             done, mid, f_mid = _certified_steps(state, lo_neg, terms, count)
             steps += done
             if mid is None:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -122,10 +123,25 @@ def test_a_zero_tolerance_fits_to_the_sweep_budget(rect_file, tmp_path, monkeypa
     assert read_report(tmp_path / "rect_fit.json")["converged"] is False
 
 
-def test_unknown_emit_format_is_a_usage_error(rect_file, tmp_path, capsys):
-    code = run("fit", "--input", rect_file, "--n", "5", "--out", tmp_path, "--emit", "png")
+@pytest.mark.parametrize("mode", ["fit", "search", "lewis", "evaluate"])
+def test_unknown_emit_format_is_a_usage_error(rect_file, tmp_path, capsys, mode):
+    extra = ["--n", "5"] if mode == "fit" else []
+    out = tmp_path / "out"
+    code = run(mode, "--input", rect_file, *extra, "--out", out, "--emit", "png")
     assert code == 2
-    assert "unknown emit" in capsys.readouterr().err
+    assert "unknown emit format(s): png" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("emit", "written"),
+    [(" json, ,csv ", ["rect_contour.csv", "rect_lewis.json"]), (" , ", ["rect_lewis.json"])],
+    ids=["json_csv", "blank"],
+)
+def test_emit_skips_blank_formats(rect_file, tmp_path, emit, written):
+    out = tmp_path / "out"
+    assert run("lewis", "--input", rect_file, "--out", out, "--emit", emit) == 0
+    assert sorted(p.name for p in out.iterdir()) == written
 
 
 def test_parse_failure_exits_three(tmp_path, capsys):
@@ -137,6 +153,20 @@ def test_parse_failure_exits_three(tmp_path, capsys):
 
 def test_missing_file_exits_three(tmp_path):
     assert run("fit", "--input", tmp_path / "absent.txt", "--n", "5", "--out", tmp_path) == 3
+
+
+@pytest.mark.parametrize("mode", ["fit", "search", "lewis"])
+def test_a_section_whose_squared_scale_overflows_exits_three(tmp_path, monkeypatch, capsys, mode):
+    monkeypatch.setattr(cli_mod, "fit_section", lambda *args: pytest.fail("fit ran"))
+    monkeypatch.setattr(cli_mod, "search_optimum", lambda *args: pytest.fail("search ran"))
+    # The coordinates parse; n (2 max(B, D))^2 overflows.
+    huge = tmp_path / "huge.txt"
+    rows = (ellipse_section(21, 4.0, 1.0).points * 1e160).tolist()
+    huge.write_text("symmetric\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows))
+    extra = ["--n", "4"] if mode == "fit" else []
+    assert run(mode, "--input", huge, *extra, "--out", tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse: ") and "too large" in err
 
 
 @pytest.mark.parametrize(
@@ -259,12 +289,25 @@ def test_the_parser_is_built_once_per_process(rect_file, tmp_path):
     assert cli_mod._parser() is parser
 
 
-@pytest.mark.parametrize("a", [[1.0, float("nan")], [1.0, float("inf")]])
-def test_evaluate_rejects_non_finite_coefficients(tmp_path, capsys, a):
+@pytest.mark.parametrize(
+    ("F", "a"),
+    [
+        (1.0, [1.0, float("nan")]),
+        (1.0, [1.0, float("inf")]),
+        # Finite, but the contour and sigma_a would overflow.
+        (1e308, [1.0, 5.0]),
+    ],
+    ids=["a0", "a1", "a2"],
+)
+def test_evaluate_rejects_non_finite_coefficients(tmp_path, capsys, F, a):
     src = tmp_path / "coeffs.json"
-    src.write_text(json.dumps({"F": 1.0, "a": a}))
-    assert run("evaluate", "--input", src, "--out", tmp_path) == 3
-    assert "finite" in capsys.readouterr().err
+    src.write_text(json.dumps({"F": F, "a": a}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("evaluate", "--input", src, "--out", tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse: ") and err.count("\n") == 1
+    assert "finite" in err
     assert not (tmp_path / "coeffs_evaluate.json").exists()
 
 

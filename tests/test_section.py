@@ -18,6 +18,7 @@ from hullmap.section import (
     serialize_offsets,
     split_areas,
 )
+from hullmap.shapes import ellipse_section
 
 from oracles import shoelace_area
 
@@ -121,9 +122,26 @@ def test_parse_rejects_non_finite_coordinates(text):
         parse_offsets(text)
 
 
-def test_overflowing_breadth_rejected():
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(0.0, 1.0), (0.5e308, 0.5), (1e308, 0.0)],
+        # The breadth is finite, but the area and the fit error, sums of
+        # squared coordinates, would overflow.
+        ellipse_section(21, 4.0, 1.0).points * 1e160,
+    ],
+    ids=["breadth", "squared_scale"],
+)
+def test_overflowing_breadth_rejected(points):
     with pytest.raises(DegenerateSectionError, match="breadth"):
-        from_points([(0.0, 1.0), (0.5e308, 0.5), (1e308, 0.0)], symmetric=True)
+        from_points(points, symmetric=True)
+
+
+def test_a_section_scaled_by_1e150_parses():
+    points = ellipse_section(21, 4.0, 1.0).points * 1e150
+    sec = parse_offsets(serialize_offsets(from_points(points, symmetric=True)))
+    assert sec.breadth == 4e150
+    assert np.isfinite(full_area(sec))
 
 
 _BASE_ROWS = {

@@ -318,8 +318,8 @@ def test_fit_sweeps_equal_the_lockstep_oracle_bit_for_bit(rectangle41, monkeypat
     real = _batch_roots
     compared = []
 
-    def checked(scaled, pts, normals, lo, hi, prefer, tol=theta_mod.THETA_TOL):
-        roots = real(scaled, pts, normals, lo, hi, prefer, tol)
+    def checked(scaled, pts, normals, lo, hi, prefer):
+        roots = real(scaled, pts, normals, lo, hi, prefer)
         assert roots == _lockstep(scaled, pts, normals, lo, hi, prefer)
         compared.append(len(roots))
         return roots
@@ -650,8 +650,8 @@ def test_unresolved_points_step_by_extrapolation(tiny_symmetric, monkeypatch):
 
     real = _batch_roots
 
-    def drop_last_interior(scaled, pts, normals, lo, hi, prefer, tol=1e-12):
-        roots = real(scaled, pts, normals, lo, hi, prefer, tol)
+    def drop_last_interior(scaled, pts, normals, lo, hi, prefer):
+        roots = real(scaled, pts, normals, lo, hi, prefer)
         roots[-1] = None
         return roots
 
@@ -667,8 +667,8 @@ def test_extrapolation_clamps_to_the_domain(tiny_asymmetric, monkeypatch):
     reference = assign_thetas(CIRCLE, tiny_asymmetric)
     real = _batch_roots
 
-    def no_roots(scaled, pts, normals, lo, hi, prefer, tol=1e-12):
-        roots = real(scaled, pts, normals, lo, hi, prefer, tol)
+    def no_roots(scaled, pts, normals, lo, hi, prefer):
+        roots = real(scaled, pts, normals, lo, hi, prefer)
         for k in range(2, len(roots)):
             roots[k] = None
         return roots
@@ -684,7 +684,7 @@ def test_abort_when_the_leading_points_have_no_angle(tiny_asymmetric, monkeypatc
     monkeypatch.setattr(
         theta_mod,
         "_batch_roots",
-        lambda scaled, pts, normals, lo, hi, prefer, tol=1e-12: [None] * len(pts),
+        lambda scaled, pts, normals, lo, hi, prefer: [None] * len(pts),
     )
     with pytest.raises(FitAbortError):
         assign_thetas(CIRCLE, tiny_asymmetric)
