@@ -12,10 +12,12 @@ covers every command's exit code and the name and bytes of every file it
 wrote.
 
 The report writer spells runs of floats by orjson only where every value is
-zero or of magnitude in [1e-4, 1e16), and by float.__repr__ elsewhere.  The
-fitted sections' contours take the first path almost everywhere; the two
-bare files put every piece of their contours outside that range (near 1e17,
-and near 1e-6), so the digest also covers the second path.
+zero or of magnitude in [1e-4, 1e16), and by float.__repr__ elsewhere; the
+CSV writer spells rows by orjson only where every value is zero or of
+magnitude in [1e-4, 1e11), and by '%.12g' elsewhere.  The fitted sections'
+contours take the first paths almost everywhere; the two bare files put
+every piece and row of their contours outside those ranges (near 1e17, and
+near 1e-6), so the digest also covers the second paths.
 
 hullmap is imported from whatever tree is on PYTHONPATH, so running the
 script against two checkouts shows whether a change keeps the CLI's output

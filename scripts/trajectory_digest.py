@@ -1,6 +1,6 @@
 """Print three SHA-256 digests: the trajectories of fixed fits, the gallery searches, the order floors.
 
-Usage: PYTHONPATH=src python scripts/trajectory_digest.py [--verbose]
+Usage: PYTHONPATH=src python scripts/trajectory_digest.py [--verbose] [--dump FILE.npz]
 
 The first line covers fits of the four gallery shapes (rectangle, bulb,
 fine, chine; 41 points each), circle41 and heeled_rectangle(21, 15 deg),
@@ -23,7 +23,10 @@ bytes of each floor error.
 
 hullmap is imported from whatever tree is on PYTHONPATH, so running the
 script against two checkouts shows whether a change keeps every trajectory
-bit-identical.  The digest depends on the numpy and BLAS build, so compare
+bit-identical.  `--dump` also writes each digested trajectory's angles,
+scaled coefficients and errors (or the exception a fit raised) to an .npz
+file, which `scripts/compare_trees.py --diff` reads to say by how much two
+trees differ.  The digest depends on the numpy and BLAS build, so compare
 two trees on one machine; it is not a value to pin in a test.
 """
 
@@ -60,26 +63,42 @@ SEARCH_ORDERS = (5, 7)
 FLOORS = {"rectangle41": ((5, 6, 12), 10.0), "heeled_rectangle21": ((12, 30), 0.2)}
 
 
-def _fit_bytes(section, order: int) -> bytes:
+# A digested trajectory as numbers: "theta" (angles), "fa" (scaled
+# coefficients) and "E" (errors), each flattened in sweep order; a search's
+# E holds its per-order floors, then its best error.
+Trajectory = dict[str, np.ndarray]
+
+
+def _raised(exc: HullmapError) -> tuple[bytes, str]:
+    message = f"{type(exc).__name__}: {exc}"
+    return message.encode(), message
+
+
+def _fit_bytes(section, order: int) -> tuple[bytes, Trajectory | str]:
     scale = max(section.breadth, section.draft)
     try:
         result = fit_section(section, FitConfig(order, 1e-8 * scale * scale))
     except HullmapError as exc:
-        return f"{type(exc).__name__}: {exc}".encode()
+        return _raised(exc)
     parts = [np.asarray(result.error_history, dtype=float).tobytes()]
     parts.extend(np.asarray(fa, dtype=float).tobytes() for fa in result.fa_history)
     for sweep in result.theta_history:
         parts.append(sweep.theta.tobytes())
         parts.append(np.array(sorted(sweep.unresolved), dtype=np.int64).tobytes())
     parts.append(np.asarray(result.mapped_points, dtype=float).tobytes())
-    return b"".join(parts)
+    numbers = {
+        "theta": np.concatenate([sweep.theta for sweep in result.theta_history]),
+        "fa": np.concatenate([np.asarray(fa, dtype=float) for fa in result.fa_history]),
+        "E": np.asarray(result.error_history, dtype=float),
+    }
+    return b"".join(parts), numbers
 
 
-def _search_bytes(section) -> bytes:
+def _search_bytes(section) -> tuple[bytes, Trajectory | str]:
     try:
         report = search_optimum(section, SEARCH_ORDERS)
     except HullmapError as exc:
-        return f"{type(exc).__name__}: {exc}".encode()
+        return _raised(exc)
     records = [(r.order, r.e_min, r.iterations) for r in report.per_order]
     fit = report.best_fit
     parts = [
@@ -90,40 +109,61 @@ def _search_bytes(section) -> bytes:
         fit.thetas.theta.tobytes(),
         np.asarray(fit.mapped_points, dtype=float).tobytes(),
     ]
-    return b"".join(parts)
+    numbers = {
+        "theta": fit.thetas.theta,
+        "fa": np.asarray(fit.fa_history[-1], dtype=float),
+        "E": np.array([r.e_min for r in report.per_order] + [report.best_error]),
+    }
+    return b"".join(parts), numbers
 
 
-def _floor_bytes(section, order: int, tolerance: float) -> bytes:
+def _floor_bytes(section, order: int, tolerance: float) -> tuple[bytes, Trajectory | str]:
     try:
         floor = min_error_for_order(section, order, FitConfig(order, tolerance))
     except HullmapError as exc:
-        return f"{type(exc).__name__}: {exc}".encode()
-    return np.array([floor], dtype=float).tobytes()
+        return _raised(exc)
+    return np.array([floor], dtype=float).tobytes(), {"E": np.array([floor], dtype=float)}
+
+
+def _save(path: str, trajectories: dict[str, tuple[float, Trajectory | str]]) -> None:
+    """Write every trajectory's numbers, or its exception text, to one .npz file."""
+    arrays = {"labels": np.array(list(trajectories))}
+    for index, (scale, numbers) in enumerate(trajectories.values()):
+        arrays[f"{index}.scale"] = np.array(scale)
+        if isinstance(numbers, str):
+            arrays[f"{index}.error"] = np.array(numbers)
+        else:
+            arrays.update({f"{index}.{key}": value for key, value in numbers.items()})
+    np.savez(path, **arrays)
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--verbose", action="store_true", help="also print one digest per fit, search and floor")
+    parser.add_argument("--dump", metavar="FILE.npz", help="also write every trajectory's numbers to FILE.npz")
     args = parser.parse_args()
     fits, searches, floors = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    trajectories = {}
+
+    def record(total, label: str, scale: float, blob: bytes, numbers) -> None:
+        total.update(blob)
+        trajectories[label] = (scale, numbers)
+        if args.verbose:
+            print(f"{label}: {hashlib.sha256(blob).hexdigest()}")
+
     for name, build in SECTIONS.items():
         section = build()
+        scale = max(section.breadth, section.draft)
         for order in ORDERS + HIGH_ORDERS.get(name, ()):
-            blob = _fit_bytes(section, order)
-            fits.update(blob)
-            if args.verbose:
-                print(f"{name} N={order}: {hashlib.sha256(blob).hexdigest()}")
+            record(fits, f"{name} N={order}", scale, *_fit_bytes(section, order))
         if name in GALLERY:
-            blob = _search_bytes(section)
-            searches.update(blob)
-            if args.verbose:
-                print(f"{name} search {SEARCH_ORDERS}: {hashlib.sha256(blob).hexdigest()}")
+            record(searches, f"{name} search {SEARCH_ORDERS}", scale, *_search_bytes(section))
         orders, tolerance = FLOORS.get(name, ((), 0.0))
         for order in orders:
-            blob = _floor_bytes(section, order, tolerance)
-            floors.update(blob)
-            if args.verbose:
-                print(f"{name} floor N={order} tol={tolerance}: {hashlib.sha256(blob).hexdigest()}")
+            label = f"{name} floor N={order} tol={tolerance}"
+            record(floors, label, scale, *_floor_bytes(section, order, tolerance))
+    if args.dump:
+        _save(args.dump, trajectories)
     if args.verbose:
         print(f"hullmap from {hullmap.__file__}")
     print(fits.hexdigest())

@@ -78,19 +78,102 @@ def _check_args(args: argparse.Namespace) -> None:
     args.emit = emit or ("json",)
 
 
-# `_write_csv` formats each run of up to this many rows with one
-# %-operation, from Python floats made for that run alone; '%.12g' % v
-# spells every float, nan, inf and -0.0 included, as format(v, '.12g') does.
-_CSV_ROWS = 256
+# `_write_csv` spells the file in runs of up to this many rows, so a long
+# contour never sits in memory as one string or as many temporary arrays.
+_CSV_ROWS = 1024
+# 10**k for k = 0..22, each exact in binary64.
+_POW10 = np.array([float(10**k) for k in range(23)])
+
+
+def _twelve_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``float('%.12g' % v)`` of every ``v`` that is zero or of magnitude in [1e-4, 1e11).
+
+    Returns those doubles, shaped as ``values``, and the mask of the values
+    they are given for; elsewhere the doubles mean nothing.  For such a v
+    of magnitude a, let k = 11 - floor(log10 a), t = a * 10**k (one
+    correctly rounded product; 10**k is exact) and m = rint(t).  The value
+    is in doubt where t lies on a half-integer or outside [1e11, 1e12].
+    Otherwise m / 10**k is v's rounding to 12 significant digits, D, the
+    decimal '%.12g' writes:
+
+    * every half-integer and every integer up to 2**53 is a double, and
+      rounding is monotone, so t lies on the same side of each as the exact
+      product e = a * 10**k or on it, and |t - e| <= ulp(t) / 2 <= 2**-14
+      (t <= 1e12 < 2**40); with t off the half-integers, rint(t) is the
+      integer nearest e;
+    * if log10 put k one too low, then e < 1e11 <= t, so t = 1e11 and e
+      lies within 2**-14 of it, and v's 12 digits at the true exponent are
+      rint(10 e) = 1e12, the same D = 1e11 / 10**k; if k is one too high,
+      e >= 1e12 >= t, so t = 1e12, and rint(e / 10) = 1e11 gives the same D
+      again; k two or more off puts t outside [1e11, 1e12].
+
+    The double returned, copysign(m / 10**k, v), is the one nearest D (one
+    correctly rounded division of exact operands); a doubtful value gets
+    ``float('%.12g' % v)``, which is the same double by definition.  Zeros
+    are returned as they are.  ``_ryu_rows`` relies on both.
+    """
+    mag = np.abs(values)
+    in_range = (mag >= 1e-4) & (mag < 1e11)
+    safe = np.where(in_range, mag, 1.0)
+    power = _POW10[11 - np.floor(np.log10(safe)).astype(np.intp)]
+    t = safe * power
+    rounded = np.copysign(np.rint(t) / power, values)
+    doubt = in_range & ((t - np.floor(t) == 0.5) | (t < 1e11) | (t > 1e12))
+    if doubt.any():
+        rounded[doubt] = [float("%.12g" % v) for v in values[doubt].tolist()]
+    zero = mag == 0.0
+    rounded[zero] = values[zero]
+    return rounded, in_range | zero
+
+
+def _ryu_rows(rows: np.ndarray) -> str:
+    """The lines '%.12g,%.12g,%.12g' writes for ``rows``, from ``_twelve_digits``'s doubles.
+
+    Every value of ``rows`` must be zero or the double nearest a decimal D
+    of at most 12 significant digits in [1e-4, 1e11], which '%.12g'
+    writes positionally, without trailing zeros or a bare point.  orjson
+    spells a double with Ryu's shortest digits that round back to it.  Two
+    different decimals of at most 15 significant digits never round to one
+    double (binary64 holds 15 decimal digits), so no decimal other than D
+    with as few digits rounds to D's double: its shortest digits are D's.
+    orjson writes them positionally too, as it does every magnitude in
+    [1e-5, 1e16), except that an integer such as 0, -0 or 100 comes out as
+    ``0.0``, ``-0.0`` or ``100.0``; that ``.0`` is struck.  Rows come out as
+    ``[a,b,c],[d,e,f]`` inside one more pair of brackets; each ``],[``
+    becomes a newline.
+    """
+    import orjson  # here, so that runs which write no csv never load it
+
+    text = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)
+    if (rows == np.trunc(rows)).any():
+        text = text.replace(b".0,", b",").replace(b".0]", b"]")
+    return text[2:-2].replace(b"],[", b"\n").decode() + "\n"
 
 
 def _write_csv(path: Path, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """Write the contour as 'theta,x,y' lines of '%.12g,%.12g,%.12g'.
+
+    Rows whose values are all zero or of magnitude in [1e-4, 1e11) are
+    spelled by orjson from ``_twelve_digits``'s doubles (see ``_ryu_rows``
+    for why the bytes are the same); every other row (nan, inf, nonzero
+    magnitudes below 1e-4 or from 1e11 up) by one %-operation over its run
+    of such rows.
+    """
     with open(path, "w") as handle:
         handle.write("theta,x,y\n")
         for start in range(0, len(theta), _CSV_ROWS):
             rows = slice(start, start + _CSV_ROWS)
-            part = np.column_stack([theta[rows], x[rows], y[rows]]).ravel().tolist()
-            handle.write("%.12g,%.12g,%.12g\n" * (len(part) // 3) % tuple(part))
+            block = np.column_stack([theta[rows], x[rows], y[rows]])
+            rounded, spelled = _twelve_digits(block)
+            plain = spelled.all(axis=1)
+            # Each stretch of rows that all take one of the two spellings.
+            edges = [0, *(np.flatnonzero(plain[1:] != plain[:-1]) + 1).tolist(), len(block)]
+            for lo, hi in zip(edges, edges[1:]):
+                if plain[lo]:
+                    handle.write(_ryu_rows(rounded[lo:hi]))
+                else:
+                    part = block[lo:hi].ravel().tolist()
+                    handle.write("%.12g,%.12g,%.12g\n" * (hi - lo) % tuple(part))
 
 
 def _write_svg(path: Path, curves, markers) -> None:
@@ -207,6 +290,9 @@ def _load_coefficients(path: Path) -> tuple[MappingCoefficients, bool]:
     symmetric = data.get("symmetric", True)
     if not isinstance(symmetric, bool):
         raise ValueError("symmetric must be true or false")
+    missing = [key for key in ("F", "a") if key not in block]
+    if missing:
+        raise ValueError(f"coefficient block is missing {' and '.join(missing)}")
     if not _is_number(block["F"]):
         raise ValueError("F must be a number")
     if not isinstance(block["a"], list) or not all(map(_is_number, block["a"])):
@@ -231,7 +317,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.mode == "evaluate":
         try:
             coeffs, symmetric = _load_coefficients(args.input)
-        except (OSError, ValueError, TypeError, KeyError, OverflowError) as exc:
+        except (OSError, ValueError, TypeError, OverflowError) as exc:
             print(f"parse: {exc}", file=sys.stderr)
             return 3
         contour = _sample_contour(coeffs, symmetric, args.samples)

@@ -111,11 +111,20 @@ def boundary_from_scaled(values: np.ndarray, theta) -> tuple[np.ndarray, np.ndar
 
 
 def evaluate_offset_contour(coeffs: MappingCoefficients, theta, beta: float):
-    """Mapped contour at radial coordinate ``beta`` (``beta = 0`` is the boundary)."""
+    """Mapped contour at radial coordinate ``beta`` (``beta = 0`` is the boundary).
+
+    Every term's cos((2n - 1) t) vanishes at t = +-pi/2, so y is set to 0.0
+    exactly there; the series in floating point leaves some 6e-17 * F.
+    """
     if beta < 0.0:
         raise ValueError("beta must be non-negative")
     decay = np.exp(-_odd_multiples(len(coeffs.a)) * beta)
-    return boundary_from_scaled((coeffs.scale * coeffs.a) * decay, theta)
+    x, y = boundary_from_scaled((coeffs.scale * coeffs.a) * decay, theta)
+    waterline = np.abs(theta) == pi / 2.0
+    if np.ndim(y) == 0:
+        return x, 0.0 if waterline else y
+    y[waterline] = 0.0
+    return x, y
 
 
 def evaluate_boundary(coeffs: MappingCoefficients, theta):

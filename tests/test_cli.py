@@ -1,12 +1,20 @@
 import json
+import math
+import tempfile
 import warnings
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hullmap.cli as cli_mod
 from hullmap.cli import main
 from hullmap.errors import SearchFailedError
+from hullmap.mapping import MappingCoefficients
 from hullmap.section import serialize_offsets
 from hullmap.shapes import ellipse_section, heeled_rectangle, rectangle_section
 
@@ -58,18 +66,90 @@ def test_fit_writes_all_formats(rect_file, tmp_path, capsys):
 
 
 def test_the_csv_spells_every_value_as_str_format_does(tmp_path):
-    # 700 rows cross the writer's runs of rows; among the values are nan,
+    # 1200 rows cross the writer's runs of rows; among the values are nan,
     # +-inf, +-0.0, subnormals, the largest float and random bit patterns.
     special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310, 1.7976931348623157e308, -2.5e-308]
     rng = np.random.default_rng(3)
     bits = rng.integers(0, 2**64, size=1500, dtype=np.uint64).view(float)
-    scaled = rng.standard_normal(591) * 10.0 ** rng.integers(-20, 20, 591)
+    scaled = rng.standard_normal(2091) * 10.0 ** rng.integers(-20, 20, 2091)
     theta, x, y = np.concatenate([special, bits, scaled]).reshape(3, -1)
     path = tmp_path / "c.csv"
     cli_mod._write_csv(path, theta, x, y)
+    assert path.read_text() == _formatted_rows(theta, x, y)
+
+
+def _formatted_rows(theta, x, y) -> str:
     row = "{:.12g},{:.12g},{:.12g}\n".format
-    want = "theta,x,y\n" + "".join(map(row, theta.tolist(), x.tolist(), y.tolist()))
-    assert path.read_text() == want
+    return "theta,x,y\n" + "".join(map(row, theta.tolist(), x.tolist(), y.tolist()))
+
+
+def _signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda pair: -pair[0] if pair[1] else pair[0])
+
+
+# Decimals of 13 significant digits ending in 5, halfway between two
+# 12-digit roundings: n + o / 2**p with n of 13 - p digits and odd o is one
+# exactly; parsing such a decimal string gives a double just beside one.
+_EXACT_TIES = st.integers(1, 8).flatmap(
+    lambda p: st.builds(
+        lambda n, o: n + (2 * o + 1) / 2.0**p,
+        st.integers(10 ** (12 - p), 10 ** (13 - p) - 1),
+        st.integers(0, 2 ** (p - 1) - 1),
+    )
+)
+_NEAR_TIES = st.builds(
+    lambda digits, exponent: float(f"{digits}5e{exponent}"),
+    st.integers(10**11, 10**12 - 1),
+    st.integers(-17, 2),
+)
+
+
+# Powers of ten from 1e-6 to 1e13 and up to three floats to either side.
+def _near_power(exponent: int, steps: int) -> float:
+    value = float(f"1e{exponent}")
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+CSV_VALUES = st.one_of(
+    _signed(st.floats(1e-6, 1e13)),
+    _signed(_EXACT_TIES),
+    _signed(_NEAR_TIES),
+    _signed(st.builds(_near_power, st.integers(-6, 13), st.integers(-3, 3))),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(CSV_VALUES, CSV_VALUES, CSV_VALUES), min_size=1, max_size=30),
+       st.integers(1, 8))
+def test_the_csv_equals_a_per_row_format(rows, run):
+    theta, x, y = np.array(rows).T
+    with tempfile.TemporaryDirectory() as tmp, patch.object(cli_mod, "_CSV_ROWS", run):
+        path = Path(tmp) / "c.csv"
+        cli_mod._write_csv(path, theta, x, y)
+        assert path.read_text() == _formatted_rows(theta, x, y)
+
+
+def test_an_evaluated_contour_is_spelled_by_orjson_to_the_waterline(tmp_path, monkeypatch):
+    # A stand-in orjson.dumps that writes every 9 as 8: the file shows its
+    # text only in rows that took the fast path, which is all of them.
+    real = orjson.dumps
+    rows_spelled = []
+
+    def eights(obj, option=None):
+        rows_spelled.append(len(obj))
+        return real(obj, option=option).replace(b"9", b"8")
+
+    monkeypatch.setattr(orjson, "dumps", eights)
+    coeffs = MappingCoefficients(1.3, np.array([1.0, 0.1, -0.02]))
+    theta, x, y = cli_mod._sample_contour(coeffs, True, 10000)
+    assert y[-1] == 0.0
+    path = tmp_path / "c.csv"
+    cli_mod._write_csv(path, theta, x, y)
+    assert sum(rows_spelled) == 10000
+    assert path.read_text() == _formatted_rows(theta, x, y).replace("9", "8")
 
 
 def test_fit_is_deterministic_without_timing(rect_file, tmp_path):
@@ -251,6 +331,18 @@ def test_evaluate_rejects_json_of_the_wrong_shape(tmp_path, capsys, payload):
     assert run("evaluate", "--input", src, "--out", tmp_path) == 3
     assert capsys.readouterr().err.startswith("parse: ")
     assert not (tmp_path / "coeffs_evaluate.json").exists()
+
+
+@pytest.mark.parametrize(
+    ("payload", "missing"),
+    [({"a": [1.0]}, "F"), ({"F": 1.0}, "a"), ({"coefficients": {}}, "F and a")],
+    ids=["F", "a", "both"],
+)
+def test_evaluate_names_a_missing_key(tmp_path, capsys, payload, missing):
+    src = tmp_path / "coeffs.json"
+    src.write_text(json.dumps(payload))
+    assert run("evaluate", "--input", src, "--out", tmp_path) == 3
+    assert capsys.readouterr().err == f"parse: coefficient block is missing {missing}\n"
 
 
 @pytest.mark.parametrize("target", ["afile", "afile/sub"])

@@ -110,6 +110,19 @@ def test_offset_contour_at_zero_beta_is_the_boundary():
     assert np.array_equal(bx, cx) and np.array_equal(by, cy)
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.4])
+def test_contours_end_on_the_waterline_exactly(beta):
+    coeffs = MappingCoefficients(1.3, np.array([1.0, 0.1, -0.02]))
+    theta = np.linspace(-pi / 2.0, pi / 2.0, 9)
+    x, y = evaluate_offset_contour(coeffs, theta, beta)
+    assert y[0] == 0.0 and y[-1] == 0.0
+    bx, by = boundary_from_scaled(coeffs.scale * coeffs.a * np.exp(-beta * np.arange(-1, 5, 2)), theta)
+    assert np.array_equal(x, bx)
+    assert np.array_equal(y[1:-1], by[1:-1]) and abs(by[-1]) > 0.0
+    assert evaluate_offset_contour(coeffs, pi / 2.0, beta)[1] == 0.0
+    assert evaluate_offset_contour(coeffs, -pi / 2.0, beta)[1] == 0.0
+
+
 def test_offset_contour_rejects_negative_beta():
     with pytest.raises(ValueError):
         evaluate_offset_contour(CIRCLE, 0.3, beta=-0.1)
