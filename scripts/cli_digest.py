@@ -6,18 +6,20 @@ The commands run in-process, with --no-timing, in a temporary directory:
 `lewis` and `fit --n 8` on circle41, ellipse41 and heeled_rectangle(21,
 15 deg) offsets, and `search` on circle41 and ellipse41, each with
 --emit json,csv,svg; then `evaluate --samples 10000 --emit json,csv` of
-every fit report and of two bare coefficient files, {"F": 1e17, "a": [1.0,
-0.1, -0.02]} symmetric and the same with F = 1e-6 asymmetric.  The digest
-covers every command's exit code and the name and bytes of every file it
-wrote.
+every fit report and of three bare coefficient files, {"F": 1e17, "a":
+[1.0, 0.1, -0.02]} symmetric, the same with F = 1e-6 asymmetric and the
+same with F = 1e-3 symmetric.  The digest covers every command's exit code
+and the name and bytes of every file it wrote.
 
 The report writer spells runs of floats by orjson only where every value is
 zero or of magnitude in [1e-4, 1e16), and by float.__repr__ elsewhere; the
 CSV writer spells rows by orjson only where every value is zero or of
 magnitude in [1e-4, 1e11), and by '%.12g' elsewhere.  The fitted sections'
-contours take the first paths almost everywhere; the two bare files put
-every piece and row of their contours outside those ranges (near 1e17, and
-near 1e-6), so the digest also covers the second paths.
+contours take the first paths almost everywhere; the "huge" and "tiny"
+bare files put every piece and row of their contours outside those ranges
+(near 1e17, and near 1e-6), so the digest also covers the second paths.
+The "mixed" file's contour has |x| < 1e-4 in its first 550 or so of 10000
+rows, so its report and its CSV each take both paths in one file.
 
 hullmap is imported from whatever tree is on PYTHONPATH, so running the
 script against two checkouts shows whether a change keeps the CLI's output
@@ -47,6 +49,7 @@ SEARCHED = ("circle41", "ellipse41")
 BARE = {
     "huge": {"F": 1e17, "a": [1.0, 0.1, -0.02], "symmetric": True},
     "tiny": {"F": 1e-6, "a": [1.0, 0.1, -0.02], "symmetric": False},
+    "mixed": {"F": 1e-3, "a": [1.0, 0.1, -0.02], "symmetric": True},
 }
 ALL_FORMATS = ("--emit", "json,csv,svg", "--no-timing")
 

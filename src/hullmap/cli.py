@@ -34,7 +34,7 @@ from .fit import FitConfig, fit_section
 from .mapping import MappingCoefficients, breadth_and_draft, evaluate_boundary, lewis_initial_guess
 from .report import AccuracyReport, build_report, nash_sutcliffe, write_report
 from .search import search_optimum
-from .section import full_area, load_offsets
+from .section import full_area, load_offsets, read_text
 
 DEFAULT_SAMPLES = 256
 # The plot fits in a square of this many pixels.
@@ -150,8 +150,8 @@ def _ryu_rows(rows: np.ndarray) -> str:
     return text[2:-2].replace(b"],[", b"\n").decode() + "\n"
 
 
-def _write_csv(path: Path, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
-    """Write the contour as 'theta,x,y' lines of '%.12g,%.12g,%.12g'.
+def _write_csv(path: Path, contour: np.ndarray) -> None:
+    """Write the (n, 3) contour as 'theta,x,y' lines of '%.12g,%.12g,%.12g'.
 
     Rows whose values are all zero or of magnitude in [1e-4, 1e11) are
     spelled by orjson from ``_twelve_digits``'s doubles (see ``_ryu_rows``
@@ -161,9 +161,8 @@ def _write_csv(path: Path, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> N
     """
     with open(path, "w") as handle:
         handle.write("theta,x,y\n")
-        for start in range(0, len(theta), _CSV_ROWS):
-            rows = slice(start, start + _CSV_ROWS)
-            block = np.column_stack([theta[rows], x[rows], y[rows]])
+        for start in range(0, len(contour), _CSV_ROWS):
+            block = contour[start:start + _CSV_ROWS]
             rounded, spelled = _twelve_digits(block)
             plain = spelled.all(axis=1)
             # Each stretch of rows that all take one of the two spellings.
@@ -226,10 +225,11 @@ def _write_svg(path: Path, curves, markers) -> None:
     path.write_text("\n".join(parts) + "\n")
 
 
-def _sample_contour(coeffs: MappingCoefficients, symmetric: bool, samples: int):
+def _sample_contour(coeffs: MappingCoefficients, symmetric: bool, samples: int) -> np.ndarray:
+    """The contour at ``samples`` angles as a C-contiguous (samples, 3) array of theta, x, y."""
     theta = np.linspace(0.0 if symmetric else -pi / 2.0, pi / 2.0, samples)
     x, y = evaluate_boundary(coeffs, theta)
-    return theta, x, y
+    return np.column_stack([theta, x, y])
 
 
 def _coefficients_payload(coeffs: MappingCoefficients, symmetric: bool) -> dict:
@@ -245,26 +245,24 @@ def _coefficients_payload(coeffs: MappingCoefficients, symmetric: bool) -> dict:
 
 
 def _emit(args, stem: str, report: dict, contour, summary: str, markers=None, lewis=None) -> int:
-    """Write ``report`` as json and, on request, ``contour`` as csv and a plot as svg.
+    """Write ``report`` as json and, on request, the (n, 3) ``contour`` as csv and a plot as svg.
 
     The plot draws the contour, the Lewis seed ``lewis`` of a fitted
     symmetric section when one is given, and the offsets as markers.  Returns
     the exit code: 0 after printing ``summary``, or 2 for an output file that
     cannot be written, which is reported on stderr.
     """
-    theta, x, y = contour
     path = args.out / f"{stem}_{args.mode}.json"
     try:
         if "json" in args.emit:
             write_report(path, report)
         if "csv" in args.emit:
             path = args.out / f"{stem}_contour.csv"
-            _write_csv(path, theta, x, y)
+            _write_csv(path, contour)
         if "svg" in args.emit:
-            curves = [(args.mode, np.column_stack([x, y]))]
+            curves = [(args.mode, contour[:, 1:])]
             if lewis is not None:
-                _, lx, ly = _sample_contour(lewis, True, args.samples)
-                curves.append(("lewis", np.column_stack([lx, ly])))
+                curves.append(("lewis", _sample_contour(lewis, True, args.samples)[:, 1:]))
             path = args.out / f"{stem}_plot.svg"
             _write_svg(path, curves, markers)
     except OSError as exc:
@@ -281,7 +279,7 @@ def _is_number(value) -> bool:
 
 
 def _load_coefficients(path: Path) -> tuple[MappingCoefficients, bool]:
-    data = json.loads(path.read_text())
+    data = json.loads(read_text(path))
     if not isinstance(data, dict):
         raise ValueError("coefficients file must hold a JSON object")
     block = data.get("coefficients", data)
@@ -323,7 +321,7 @@ def _run(args: argparse.Namespace) -> int:
         contour = _sample_contour(coeffs, symmetric, args.samples)
         payload = _coefficients_payload(coeffs, symmetric)
         payload["samples"] = args.samples
-        payload["contour"] = np.column_stack(contour).tolist()
+        payload["contour"] = contour
         summary = f"evaluated N={coeffs.order} at {args.samples} angles"
         return _emit(args, stem, payload, contour, summary)
 

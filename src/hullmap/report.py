@@ -95,12 +95,33 @@ _INDENT = "  "
 _CHUNK = 256
 
 
-def _number_block(items: list | tuple, depth: int) -> str | None:
+def _orjson_block(items, depth: int) -> str:
+    """orjson's text of ``items`` at ``depth + 1``, joined by their separators."""
+    import orjson  # here, so that runs which write no report never load it
+
+    wrapped = items
+    for _ in range(depth):
+        wrapped = [wrapped]
+    text = orjson.dumps(wrapped, option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY).decode()
+    # Drop the wrappers' brackets: "[" + newline + indent at each of the
+    # depth + 1 levels before, newline + indent + "]" after.
+    return text[(depth + 1) * (depth + 4):-(depth + 1) * (depth + 2)]
+
+
+def _in_range(values: np.ndarray) -> bool:
+    """Whether every value is zero or of magnitude in [1e-4, 1e16); nan and inf are not."""
+    mag = np.abs(values)
+    return bool((((mag >= 1e-4) & (mag < 1e16)) | (mag == 0.0)).all())
+
+
+def _number_block(items, depth: int) -> str | None:
     """The text of ``items`` at ``depth + 1``, joined by their separators, or None.
 
     Only items that are all finite floats, or all non-empty lists or tuples
     of finite floats, are joined here; for anything else the caller lays
-    the items out one by one.
+    the items out one by one.  A float64 array is passed only when
+    ``_in_range`` holds for it; the first point below shows that orjson's
+    text of it is json's, so it is spelled by orjson without a scan.
 
     Items that are all of type ``float``, or rows of them, are first spelled
     by orjson, whose Ryu digits come about twenty times faster than
@@ -126,18 +147,12 @@ def _number_block(items: list | tuple, depth: int) -> str | None:
     A value in the range can hold ``0.0000`` too (``10.00001``); its chunk
     merely takes that slower path.
     """
+    if isinstance(items, np.ndarray):
+        return _orjson_block(items, depth)
     kinds = set(map(type, items))
     rows = kinds <= {list, tuple} and all(items)
     if (set(map(type, chain.from_iterable(items))) if rows else kinds) == {float}:
-        import orjson  # here, so that runs which write no report never load it
-
-        wrapped = items
-        for _ in range(depth):
-            wrapped = [wrapped]
-        text = orjson.dumps(wrapped, option=orjson.OPT_INDENT_2).decode()
-        # Drop the wrappers' brackets: "[" + newline + indent at each of the
-        # depth + 1 levels before, newline + indent + "]" after.
-        text = text[(depth + 1) * (depth + 4):-(depth + 1) * (depth + 2)]
+        text = _orjson_block(items, depth)
         if "e" not in text and "null" not in text and "0.0000" not in text:
             return text
     inner = "\n" + _INDENT * (depth + 1)
@@ -163,7 +178,8 @@ def report_pieces(value, depth: int = 0) -> Iterator[str]:
     Runs of finite floats, and of rows of them, are joined in pieces of up
     to ``_CHUNK`` items; every other scalar, and any dict with a non-string
     key, is spelled by ``json.dumps`` itself.  ``depth`` is the nesting
-    level ``value`` sits at.
+    level ``value`` sits at.  A numpy array is written as its ``tolist()``
+    would be.
 
     A piece is spelled by orjson where that text provably equals json's
     (see ``_number_block``): every value is zero or of magnitude in
@@ -172,8 +188,20 @@ def report_pieces(value, depth: int = 0) -> Iterator[str]:
     ``indent=2`` alike.  A piece whose orjson text holds an ``e``, a
     ``null`` or a ``0.0000`` -- the marks of exponents, non-finite values
     and magnitudes below 1e-4 -- is joined from ``float.__repr__``,
-    json's own spelling of a finite float, instead.
+    json's own spelling of a finite float, instead.  A non-empty 1-D or
+    2-D C-contiguous float64 array needs no such marks: each piece of its
+    rows is tested for that range as numbers, and one that fails goes
+    through its ``tolist()`` as a list would.  Every other array goes
+    through its ``tolist()`` whole.
     """
+    if isinstance(value, np.ndarray) and not (
+        type(value) is np.ndarray
+        and value.dtype == np.float64
+        and value.ndim in (1, 2)
+        and value.size
+        and value.flags.c_contiguous
+    ):
+        value = value.tolist()
     inner = "\n" + _INDENT * (depth + 1)
     if isinstance(value, dict) and value and all(type(key) is str for key in value):
         separator = "{" + inner
@@ -182,10 +210,12 @@ def report_pieces(value, depth: int = 0) -> Iterator[str]:
             yield from report_pieces(value[key], depth + 1)
             separator = "," + inner
         yield "\n" + _INDENT * depth + "}"
-    elif isinstance(value, (list, tuple)) and value:
+    elif isinstance(value, (list, tuple, np.ndarray)) and len(value):
         separator = "[" + inner
         for start in range(0, len(value), _CHUNK):
             chunk = value[start:start + _CHUNK]
+            if isinstance(chunk, np.ndarray) and not _in_range(chunk):
+                chunk = chunk.tolist()
             block = _number_block(chunk, depth)
             if block is None:
                 for item in chunk:
@@ -205,7 +235,9 @@ def report_pieces(value, depth: int = 0) -> Iterator[str]:
 def write_report(path: Path, report: dict) -> None:
     """Write ``report`` as ``json.dumps(report, indent=2, sort_keys=True)`` and a newline.
 
-    The text goes to the file piece by piece, never as one string.
+    ``report`` may hold numpy arrays, such as float64 contours, which are
+    written as their ``tolist()`` would be.  The text goes to the file piece
+    by piece, never as one string.
     """
     with open(path, "w") as handle:
         handle.writelines(report_pieces(report))

@@ -8,7 +8,8 @@ waterline point through the keel to the starboard waterline point.
 
 The plain-text offsets format is one header line, ``symmetric`` or
 ``asymmetric``, followed by one ``x,y`` pair per line.  Blank lines and lines
-starting with ``#`` are ignored.
+starting with ``#`` are ignored.  Files are UTF-8, with or without a byte
+order mark.
 """
 
 from __future__ import annotations
@@ -155,8 +156,27 @@ def serialize_offsets(section: SectionOffsets) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_text(path) -> str:
+    """The text of the file at ``path`` decoded as UTF-8, a leading byte order mark dropped.
+
+    ``\\r\\n`` and ``\\r`` become ``\\n``, as in ``Path.read_text``.  Bytes
+    that are not UTF-8 raise :class:`OffsetsParseError` naming the first one
+    and its line.
+    """
+    try:
+        text = Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is the input after the byte order mark, and all of it
+        # before exc.start decodes.
+        line = len((exc.object[:exc.start].decode() + "?").splitlines())
+        raise OffsetsParseError(
+            f"line {line}: byte {exc.object[exc.start]:#04x} is not valid UTF-8"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_offsets(path) -> SectionOffsets:
-    return parse_offsets(Path(path).read_text())
+    return parse_offsets(read_text(path))
 
 
 def mirror_to_full(section: SectionOffsets) -> SectionOffsets:

@@ -74,7 +74,7 @@ def test_the_csv_spells_every_value_as_str_format_does(tmp_path):
     scaled = rng.standard_normal(2091) * 10.0 ** rng.integers(-20, 20, 2091)
     theta, x, y = np.concatenate([special, bits, scaled]).reshape(3, -1)
     path = tmp_path / "c.csv"
-    cli_mod._write_csv(path, theta, x, y)
+    cli_mod._write_csv(path, np.column_stack([theta, x, y]))
     assert path.read_text() == _formatted_rows(theta, x, y)
 
 
@@ -125,10 +125,11 @@ CSV_VALUES = st.one_of(
 @given(st.lists(st.tuples(CSV_VALUES, CSV_VALUES, CSV_VALUES), min_size=1, max_size=30),
        st.integers(1, 8))
 def test_the_csv_equals_a_per_row_format(rows, run):
-    theta, x, y = np.array(rows).T
+    contour = np.array(rows)
+    theta, x, y = contour.T
     with tempfile.TemporaryDirectory() as tmp, patch.object(cli_mod, "_CSV_ROWS", run):
         path = Path(tmp) / "c.csv"
-        cli_mod._write_csv(path, theta, x, y)
+        cli_mod._write_csv(path, contour)
         assert path.read_text() == _formatted_rows(theta, x, y)
 
 
@@ -144,12 +145,42 @@ def test_an_evaluated_contour_is_spelled_by_orjson_to_the_waterline(tmp_path, mo
 
     monkeypatch.setattr(orjson, "dumps", eights)
     coeffs = MappingCoefficients(1.3, np.array([1.0, 0.1, -0.02]))
-    theta, x, y = cli_mod._sample_contour(coeffs, True, 10000)
+    contour = cli_mod._sample_contour(coeffs, True, 10000)
+    theta, x, y = contour.T
     assert y[-1] == 0.0
     path = tmp_path / "c.csv"
-    cli_mod._write_csv(path, theta, x, y)
+    cli_mod._write_csv(path, contour)
     assert sum(rows_spelled) == 10000
     assert path.read_text() == _formatted_rows(theta, x, y).replace("9", "8")
+
+
+def test_an_evaluated_contour_reaches_the_report_in_orjson_pieces(tmp_path, monkeypatch):
+    # The same stand-in, now behind `hullmap evaluate --emit json`: the
+    # contour goes to the report writer as one float64 array, and each of
+    # its pieces of up to 256 rows reaches orjson as an array slice, whose
+    # text is what the file holds.
+    real = orjson.dumps
+    pieces = []
+
+    def eights(obj, option=None):
+        inner = obj[0] if isinstance(obj, list) and len(obj) == 1 else obj
+        if isinstance(inner, np.ndarray):
+            pieces.append(inner.shape)
+        return real(obj, option=option).replace(b"9", b"8")
+
+    source = tmp_path / "c.json"
+    source.write_text(json.dumps({"F": 1.3, "a": [1.0, 0.1, -0.02]}))
+    monkeypatch.setattr(orjson, "dumps", eights)
+    argv = ["evaluate", "--input", source, "--samples", "10000", "--out", tmp_path]
+    assert run(*argv) == 0
+    monkeypatch.undo()
+    assert pieces == [(256, 3)] * 39 + [(16, 3)]
+    text = (tmp_path / "c_evaluate.json").read_text()
+    coeffs = MappingCoefficients(1.3, np.array([1.0, 0.1, -0.02]))
+    contour = json.dumps(cli_mod._sample_contour(coeffs, True, 10000).tolist(), indent=2)
+    rest = json.dumps({**json.loads(text), "contour": None}, indent=2, sort_keys=True)
+    contour = contour.replace("\n", "\n  ").replace("9", "8")
+    assert text == rest.replace('"contour": null', '"contour": ' + contour) + "\n"
 
 
 def test_fit_is_deterministic_without_timing(rect_file, tmp_path):
@@ -229,6 +260,56 @@ def test_parse_failure_exits_three(tmp_path, capsys):
     bad.write_text("symmetric\n0,1\nnot-a-pair\n")
     assert run("fit", "--input", bad, "--n", "5", "--out", tmp_path) == 3
     assert "parse" in capsys.readouterr().err
+
+
+def _bom_pair(tmp_path, name: str, text: str) -> tuple[Path, Path]:
+    """The same text as a plain UTF-8 file and as one that starts with a byte order mark."""
+    plain, marked = tmp_path / "plain" / name, tmp_path / "marked" / name
+    for path, data in ((plain, text.encode()), (marked, b"\xef\xbb\xbf" + text.encode())):
+        path.parent.mkdir()
+        path.write_bytes(data)
+    return plain, marked
+
+
+@pytest.mark.parametrize("mode", ["lewis", "fit"])
+def test_a_byte_order_mark_does_not_change_the_output(tmp_path, mode):
+    # A comment with a non-ASCII letter, as an editor might save it.
+    text = "# station 7, caf\u00e9\n" + serialize_offsets(rectangle_section(21))
+    extra = ["--n", "5", "--sigma-e", "1e-2"] if mode == "fit" else []
+    written = []
+    for source in _bom_pair(tmp_path, "rect.txt", text):
+        out = source.parent / "out"
+        assert run(mode, "--input", source, *extra, "--out", out, "--no-timing",
+                   "--emit", "json,csv,svg") == 0
+        written.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert len(written[0]) == 3
+    assert written[0] == written[1]
+
+
+def test_a_byte_order_mark_does_not_change_an_evaluate(tmp_path):
+    text = json.dumps({"F": 1.3, "a": [1.0, 0.1, -0.02]})
+    written = []
+    for source in _bom_pair(tmp_path, "c.json", text):
+        out = source.parent / "out"
+        assert run("evaluate", "--input", source, "--out", out, "--emit", "json,csv") == 0
+        written.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert len(written[0]) == 2
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("mode", ["lewis", "fit", "search", "evaluate"])
+def test_a_file_that_is_not_utf8_exits_three(tmp_path, monkeypatch, capsys, mode):
+    monkeypatch.setattr(cli_mod, "fit_section", lambda *args: pytest.fail("fit ran"))
+    monkeypatch.setattr(cli_mod, "search_optimum", lambda *args: pytest.fail("search ran"))
+    bad = tmp_path / "latin1.txt"
+    if mode == "evaluate":
+        bad.write_bytes('{"F": 1.0,\n "a": [1.0], "note": "caf\u00e9"}'.encode("latin-1"))
+    else:
+        bad.write_bytes("symmetric\n# caf\u00e9\n0,1\n1,0\n".encode("latin-1"))
+    extra = ["--n", "5"] if mode == "fit" else []
+    assert run(mode, "--input", bad, *extra, "--out", tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err == "parse: line 2: byte 0xe9 is not valid UTF-8\n"
 
 
 def test_missing_file_exits_three(tmp_path):

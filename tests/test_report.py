@@ -6,10 +6,12 @@ import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hullmap.errors import DimensionMismatchError
 from hullmap.fit import FitConfig, fit_symmetric
 from hullmap.report import (
+    _CHUNK,
     AccuracyReport,
     build_report,
     nash_sutcliffe,
@@ -167,6 +169,8 @@ BOUNDARY_FLOATS = [
 def test_boundary_floats_match_json_dumps(value):
     for payload in ({"run": [value] * 3}, {"rows": [[value, 0.5], [0.25, value]]}):
         assert "".join(report_pieces(payload)) == json.dumps(payload, indent=2, sort_keys=True)
+        as_array = {key: np.array(rows) for key, rows in payload.items()}
+        assert "".join(report_pieces(as_array)) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _spelled_alike(values: np.ndarray) -> None:
@@ -204,6 +208,84 @@ def test_in_range_contours_are_spelled_by_orjson(monkeypatch):
     text = "".join(report_pieces(payload))
     assert len(calls) == 2 * 4  # each list of 1000 is 4 pieces of up to 256
     assert text == json.dumps(payload, indent=2, sort_keys=True).replace("9", "8")
+
+
+# Values at the edges of the range where a float64 piece is spelled by
+# orjson, values outside it, and random bit patterns.
+ARRAY_FLOATS = st.one_of(
+    st.sampled_from(
+        [
+            0.0,
+            -0.0,
+            1e-4,
+            math.nextafter(1e-4, 0.0),
+            1e16,
+            math.nextafter(1e16, 0.0),
+            5e-324,
+            2.2250738585072014e-308 / 3,
+            math.nan,
+            math.inf,
+            -math.inf,
+        ]
+    ).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.integers(0, 2**64 - 1).map(lambda bits: np.array(bits, np.uint64).view(float).item()),
+    st.floats(),
+)
+
+
+@st.composite
+def float64_arrays(draw):
+    """1-D or (n, 3) arrays of n up to past two pieces, in range but for a few drawn values."""
+    shape = (draw(st.integers(1, 2 * _CHUNK + 20)), *draw(st.sampled_from([(), (3,)])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = 10.0 ** rng.uniform(-4.0, 16.0, shape) * rng.choice([-1.0, 1.0], shape)
+    values[rng.random(shape) < 0.05] = 0.0
+    for _ in range(draw(st.integers(0, 4))):
+        values.flat[draw(st.integers(0, values.size - 1))] = draw(ARRAY_FLOATS)
+    return values
+
+
+def _nested(value, depth: int):
+    for _ in range(depth):
+        value = {"v": value}
+    return value
+
+
+@settings(max_examples=150)
+@given(float64_arrays(), st.integers(0, 2))
+def test_float64_arrays_are_written_as_their_lists(values, depth):
+    pieces = "".join(report_pieces(_nested(values, depth)))
+    assert pieces == json.dumps(_nested(values.tolist(), depth), indent=2, sort_keys=True)
+
+
+_GRID = np.linspace(-1.0, 1.0, 600).reshape(200, 3)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # orjson writes float32 0.1 as 0.1; json writes its double, 0.10000000149011612.
+        np.full(300, 0.1, dtype=np.float32),
+        _GRID.astype(np.float32),
+        np.arange(-300, 300, dtype=np.int64),
+        np.arange(600).reshape(200, 3) % 3 == 0,
+        np.zeros(0),
+        np.zeros((0, 3)),
+        np.zeros((3, 0)),
+        np.float64(0.5),
+        np.array(0.1),
+        _GRID.T,
+        _GRID[::2],
+        _GRID[:, 1],
+        _GRID.reshape(10, 20, 3),
+    ],
+    ids=["f32", "f32-rows", "i64", "bool", "empty", "empty-rows", "empty-cols", "scalar",
+         "0-d", "T", "every-other", "column", "3-d"],
+)
+def test_other_arrays_are_written_as_their_lists(values):
+    payload = {"v": values, "w": [values]}
+    expected = {"v": values.tolist(), "w": [values.tolist()]}
+    assert "".join(report_pieces(payload)) == json.dumps(expected, indent=2, sort_keys=True)
 
 
 def test_write_report_ends_the_text_with_a_newline(tmp_path):

@@ -12,6 +12,7 @@ from hullmap.errors import (
 from hullmap.section import (
     from_points,
     full_area,
+    load_offsets,
     mirror_to_full,
     parse_offsets,
     section_extents,
@@ -40,6 +41,23 @@ def test_parse_skips_comments_and_blanks():
 def test_parse_reports_line_numbers():
     with pytest.raises(OffsetsParseError, match="line 3"):
         parse_offsets("symmetric\n0,1\n0.5 0.8\n1,0\n")
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_load_reads_utf8_with_or_without_a_byte_order_mark(tmp_path, bom, newline):
+    path = tmp_path / "sec.txt"
+    lines = ["# caf\u00e9", "symmetric", "0,1", "0.5,0.8", "1,0"]
+    path.write_bytes(bom + newline.join(line.encode() for line in lines) + newline)
+    assert np.array_equal(load_offsets(path).points, [[0.0, 1.0], [0.5, 0.8], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, bom):
+    path = tmp_path / "sec.txt"
+    path.write_bytes(bom + b"symmetric\r\n0,1\r\n# \xff\n1,0\n")
+    with pytest.raises(OffsetsParseError, match="^line 3: byte 0xff is not valid UTF-8$"):
+        load_offsets(path)
 
 
 def test_parse_rejects_bad_header():
