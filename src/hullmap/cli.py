@@ -32,7 +32,7 @@ from .errors import (
 )
 from .fit import FitConfig, fit_section
 from .mapping import MappingCoefficients, breadth_and_draft, evaluate_boundary, lewis_initial_guess
-from .report import AccuracyReport, build_report, nash_sutcliffe, write_report
+from .report import _CHUNK, AccuracyReport, build_report, nash_sutcliffe, write_report
 from .search import search_optimum
 from .section import full_area, load_offsets, read_text
 
@@ -78,9 +78,6 @@ def _check_args(args: argparse.Namespace) -> None:
     args.emit = emit or ("json",)
 
 
-# `_write_csv` spells the file in runs of up to this many rows, so a long
-# contour never sits in memory as one string or as many temporary arrays.
-_CSV_ROWS = 1024
 # 10**k for k = 0..22, each exact in binary64.
 _POW10 = np.array([float(10**k) for k in range(23)])
 
@@ -153,16 +150,18 @@ def _ryu_rows(rows: np.ndarray) -> str:
 def _write_csv(path: Path, contour: np.ndarray) -> None:
     """Write the (n, 3) contour as 'theta,x,y' lines of '%.12g,%.12g,%.12g'.
 
-    Rows whose values are all zero or of magnitude in [1e-4, 1e11) are
-    spelled by orjson from ``_twelve_digits``'s doubles (see ``_ryu_rows``
-    for why the bytes are the same); every other row (nan, inf, nonzero
-    magnitudes below 1e-4 or from 1e11 up) by one %-operation over its run
-    of such rows.
+    The lines are spelled in runs of up to ``_CHUNK`` rows, the pieces the
+    JSON report lays a contour out in, so a long contour never sits in
+    memory as one string or as many temporary arrays.  Rows whose values
+    are all zero or of magnitude in [1e-4, 1e11) are spelled by orjson from
+    ``_twelve_digits``'s doubles (see ``_ryu_rows`` for why the bytes are
+    the same); every other row (nan, inf, nonzero magnitudes below 1e-4 or
+    from 1e11 up) by one %-operation over its run of such rows.
     """
     with open(path, "w") as handle:
         handle.write("theta,x,y\n")
-        for start in range(0, len(contour), _CSV_ROWS):
-            block = contour[start:start + _CSV_ROWS]
+        for start in range(0, len(contour), _CHUNK):
+            block = contour[start:start + _CHUNK]
             rounded, spelled = _twelve_digits(block)
             plain = spelled.all(axis=1)
             # Each stretch of rows that all take one of the two spellings.
@@ -237,7 +236,7 @@ def _coefficients_payload(coeffs: MappingCoefficients, symmetric: bool) -> dict:
     return {
         "N": coeffs.order,
         "F": float(coeffs.scale),
-        "a": coeffs.a.tolist(),
+        "a": coeffs.a,
         "sigma_a": float(0.5 * breadth / coeffs.scale),
         "sigma_b": float(draft / coeffs.scale),
         "symmetric": symmetric,
@@ -279,7 +278,11 @@ def _is_number(value) -> bool:
 
 
 def _load_coefficients(path: Path) -> tuple[MappingCoefficients, bool]:
-    data = json.loads(read_text(path))
+    text = read_text(path)
+    try:
+        data = json.loads(text)
+    except RecursionError:  # json.loads recurses once per nested array or object
+        raise ValueError("coefficients file is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("coefficients file must hold a JSON object")
     block = data.get("coefficients", data)

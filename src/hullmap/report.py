@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from itertools import chain
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,7 +52,12 @@ def build_report(
     symmetric: bool,
     search: SearchReport | None = None,
 ) -> dict:
-    """Assemble the run report as plain Python types ready for JSON."""
+    """Assemble the run report, ready for ``write_report``.
+
+    Scalars are plain Python types; the coefficients ``a``, the ``thetas``
+    and the ``mapped_contour`` stay the fit's float64 arrays, which the
+    writer spells as their ``tolist()`` would be.
+    """
     if search is not None:
         best_order = search.best_order
         best_error = search.best_error
@@ -70,10 +74,10 @@ def build_report(
         "nash_sutcliffe": {"ex": accuracy.ex, "ey": accuracy.ey},
         "coefficients": {
             "F": float(fit.coefficients.scale),
-            "a": fit.coefficients.a.tolist(),
+            "a": fit.coefficients.a,
         },
-        "thetas": fit.thetas.theta.tolist(),
-        "mapped_contour": fit.mapped_points.tolist(),
+        "thetas": fit.thetas.theta,
+        "mapped_contour": fit.mapped_points,
         "unresolved_theta_indices": sorted(int(i) for i in fit.thetas.unresolved),
     }
     if search is not None:
@@ -90,16 +94,31 @@ def build_report(
 
 
 _INDENT = "  "
-# Lists are laid out this many items at a time, so a 10000-point contour
-# streams as a few dozen strings of some 30 kB, not one as long as the file.
-_CHUNK = 256
+# Arrays and lists are laid out this many rows at a time, so a 10000-point
+# contour streams as ten strings of some 120 kB, not one as long as the
+# file.  `cli._write_csv` writes its contour in runs of as many rows.
+_CHUNK = 1024
 
 
-def _orjson_block(items, depth: int) -> str:
-    """orjson's text of ``items`` at ``depth + 1``, joined by their separators."""
+def _orjson_block(values: np.ndarray, depth: int) -> str:
+    """json's text of the float64 ``values`` at ``depth + 1``, joined by their separators.
+
+    ``_in_range`` must hold for ``values``.  The text is orjson's, whose
+    Ryu digits come about twenty times faster than ``float.__repr__``'s,
+    and it equals json's:
+
+    * for zero and for magnitudes in [1e-4, 1e16) both spell a float
+      positionally, with the shortest digits that round-trip, and both
+      break a tie between two such spellings toward the even digit
+      (``2**50 + 0.25`` is ``1125899906842624.2`` in both); outside that
+      range orjson writes ``1e16``, ``0.000099`` and ``null`` where json
+      writes ``1e+16``, ``9.9e-05`` and ``NaN``;
+    * both lay out lists with ``indent=2`` alike; wrapping the values in
+      ``depth`` more lists puts them at ``depth + 1``.
+    """
     import orjson  # here, so that runs which write no report never load it
 
-    wrapped = items
+    wrapped = values
     for _ in range(depth):
         wrapped = [wrapped]
     text = orjson.dumps(wrapped, option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY).decode()
@@ -117,47 +136,17 @@ def _in_range(values: np.ndarray) -> bool:
 def _number_block(items, depth: int) -> str | None:
     """The text of ``items`` at ``depth + 1``, joined by their separators, or None.
 
-    Only items that are all finite floats, or all non-empty lists or tuples
-    of finite floats, are joined here; for anything else the caller lays
-    the items out one by one.  A float64 array is passed only when
-    ``_in_range`` holds for it; the first point below shows that orjson's
-    text of it is json's, so it is spelled by orjson without a scan.
-
-    Items that are all of type ``float``, or rows of them, are first spelled
-    by orjson, whose Ryu digits come about twenty times faster than
-    ``float.__repr__``'s.  That text is kept only where it provably equals
-    json's:
-
-    * for zero and for magnitudes in [1e-4, 1e16) both spell a float
-      positionally, with the shortest digits that round-trip, and both
-      break a tie between two such spellings toward the even digit
-      (``2**50 + 0.25`` is ``1125899906842624.2`` in both);
-    * both lay out lists with ``indent=2`` alike; wrapping the items in
-      ``depth`` more lists puts them at ``depth + 1``;
-    * outside that range the spellings differ -- orjson writes ``1e16``,
-      ``0.000099`` and ``null`` where json writes ``1e+16``, ``9.9e-05``
-      and ``NaN`` -- and orjson's text of such a value always holds an
-      ``e`` (at least 1e16, or below 1e-5), a ``0.0000`` (in [1e-5, 1e-4))
-      or a ``null`` (nan and inf), while no spelling in the range holds an
-      ``e`` or a ``null``.
-
-    Text with any of those three markers, and every chunk with an item
-    that is not a ``float`` (ints, numpy scalars and empty rows included),
-    is spelled by ``float.__repr__``, json's own spelling of a finite float.
-    A value in the range can hold ``0.0000`` too (``10.00001``); its chunk
-    merely takes that slower path.
+    A float64 array, passed only when ``_in_range`` holds for it, is
+    spelled by ``_orjson_block``.  Items that are all finite floats, or
+    all non-empty lists or tuples of finite floats, are joined from
+    ``float.__repr__``, json's own spelling of a finite float; for
+    anything else the caller lays the items out one by one.
     """
     if isinstance(items, np.ndarray):
         return _orjson_block(items, depth)
-    kinds = set(map(type, items))
-    rows = kinds <= {list, tuple} and all(items)
-    if (set(map(type, chain.from_iterable(items))) if rows else kinds) == {float}:
-        text = _orjson_block(items, depth)
-        if "e" not in text and "null" not in text and "0.0000" not in text:
-            return text
     inner = "\n" + _INDENT * (depth + 1)
     try:
-        if rows:
+        if all(type(item) in (list, tuple) and item for item in items):
             leaf = inner + _INDENT
             rows_text = f"{inner}],{inner}[{leaf}".join(
                 f",{leaf}".join(map(float.__repr__, row)) for row in items
@@ -175,24 +164,18 @@ def _number_block(items, depth: int) -> str | None:
 def report_pieces(value, depth: int = 0) -> Iterator[str]:
     """Yield the text of ``json.dumps(value, indent=2, sort_keys=True)`` in pieces.
 
-    Runs of finite floats, and of rows of them, are joined in pieces of up
-    to ``_CHUNK`` items; every other scalar, and any dict with a non-string
+    Runs of floats, and of rows of them, are joined in pieces of up to
+    ``_CHUNK`` rows; every other scalar, and any dict with a non-string
     key, is spelled by ``json.dumps`` itself.  ``depth`` is the nesting
     level ``value`` sits at.  A numpy array is written as its ``tolist()``
     would be.
 
-    A piece is spelled by orjson where that text provably equals json's
-    (see ``_number_block``): every value is zero or of magnitude in
-    [1e-4, 1e16), where both write the shortest round-trip digits
-    positionally and break ties toward the even digit, and both lay out
-    ``indent=2`` alike.  A piece whose orjson text holds an ``e``, a
-    ``null`` or a ``0.0000`` -- the marks of exponents, non-finite values
-    and magnitudes below 1e-4 -- is joined from ``float.__repr__``,
-    json's own spelling of a finite float, instead.  A non-empty 1-D or
-    2-D C-contiguous float64 array needs no such marks: each piece of its
-    rows is tested for that range as numbers, and one that fails goes
-    through its ``tolist()`` as a list would.  Every other array goes
-    through its ``tolist()`` whole.
+    One rule picks the spelling of a piece: a piece of a non-empty 1-D or
+    2-D C-contiguous float64 array for which ``_in_range`` holds is
+    spelled by orjson (``_orjson_block`` shows that its text is json's);
+    every other float is spelled by ``float.__repr__``, as json does.  A
+    piece that fails ``_in_range`` goes through its ``tolist()`` as a list
+    would, and every other array through its ``tolist()`` whole.
     """
     if isinstance(value, np.ndarray) and not (
         type(value) is np.ndarray

@@ -121,10 +121,15 @@ def from_points(points, symmetric: bool) -> SectionOffsets:
 
 
 def parse_offsets(text: str) -> SectionOffsets:
-    """Parse the plain-text offsets format into a validated section."""
+    """Parse the plain-text offsets format into a validated section.
+
+    Lines end at ``\\n``, ``\\r\\n`` and ``\\r`` only; form feeds, U+2028
+    and the other breaks ``str.splitlines`` knows are part of a line.
+    """
     header: str | None = None
     rows: list[tuple[float, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -166,9 +171,9 @@ def read_text(path) -> str:
     try:
         text = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # exc.object is the input after the byte order mark, and all of it
-        # before exc.start decodes.
-        line = len((exc.object[:exc.start].decode() + "?").splitlines())
+        # exc.object is the input after the byte order mark; bytes split
+        # only at b"\n", b"\r\n" and b"\r", as parse_offsets does.
+        line = len((exc.object[:exc.start] + b"?").splitlines())
         raise OffsetsParseError(
             f"line {line}: byte {exc.object[exc.start]:#04x} is not valid UTF-8"
         ) from None

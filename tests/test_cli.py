@@ -127,7 +127,7 @@ CSV_VALUES = st.one_of(
 def test_the_csv_equals_a_per_row_format(rows, run):
     contour = np.array(rows)
     theta, x, y = contour.T
-    with tempfile.TemporaryDirectory() as tmp, patch.object(cli_mod, "_CSV_ROWS", run):
+    with tempfile.TemporaryDirectory() as tmp, patch.object(cli_mod, "_CHUNK", run):
         path = Path(tmp) / "c.csv"
         cli_mod._write_csv(path, contour)
         assert path.read_text() == _formatted_rows(theta, x, y)
@@ -156,9 +156,9 @@ def test_an_evaluated_contour_is_spelled_by_orjson_to_the_waterline(tmp_path, mo
 
 def test_an_evaluated_contour_reaches_the_report_in_orjson_pieces(tmp_path, monkeypatch):
     # The same stand-in, now behind `hullmap evaluate --emit json`: the
-    # contour goes to the report writer as one float64 array, and each of
-    # its pieces of up to 256 rows reaches orjson as an array slice, whose
-    # text is what the file holds.
+    # coefficients and the contour go to the report writer as float64
+    # arrays, and a, then each of the contour's pieces of up to 1024 rows,
+    # reaches orjson as an array slice, whose text is what the file holds.
     real = orjson.dumps
     pieces = []
 
@@ -174,13 +174,54 @@ def test_an_evaluated_contour_reaches_the_report_in_orjson_pieces(tmp_path, monk
     argv = ["evaluate", "--input", source, "--samples", "10000", "--out", tmp_path]
     assert run(*argv) == 0
     monkeypatch.undo()
-    assert pieces == [(256, 3)] * 39 + [(16, 3)]
+    assert pieces == [(3,)] + [(1024, 3)] * 9 + [(784, 3)]
     text = (tmp_path / "c_evaluate.json").read_text()
     coeffs = MappingCoefficients(1.3, np.array([1.0, 0.1, -0.02]))
     contour = json.dumps(cli_mod._sample_contour(coeffs, True, 10000).tolist(), indent=2)
     rest = json.dumps({**json.loads(text), "contour": None}, indent=2, sort_keys=True)
     contour = contour.replace("\n", "\n  ").replace("9", "8")
     assert text == rest.replace('"contour": null', '"contour": ' + contour) + "\n"
+
+
+def _float_lists(value) -> list:
+    """Every list or tuple of floats inside ``value``, rows of floats giving their rows."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif not isinstance(value, (list, tuple)):
+        return []
+    elif any(isinstance(item, float) for item in value):
+        return [value]
+    return [found for item in value for found in _float_lists(item)]
+
+
+@pytest.mark.parametrize("mode", ["fit", "search", "lewis", "evaluate"])
+def test_no_mode_hands_the_writer_a_list_of_floats(ellipse_file, tmp_path, monkeypatch, mode):
+    # Every float sequence reaches write_report as a float64 array, which
+    # is the one kind of value the writer spells with orjson.
+    source = ellipse_file
+    if mode == "evaluate":
+        source = tmp_path / "ellipse.json"
+        source.write_text(json.dumps({"F": 1.3, "a": [1.0, 0.1, -0.02]}))
+    handed = []
+    real = cli_mod.write_report
+
+    def record(path, report):
+        handed.append(report)
+        real(path, report)
+
+    monkeypatch.setattr(cli_mod, "write_report", record)
+    argv = [mode, "--input", source, "--out", tmp_path, "--no-timing"]
+    assert run(*argv, *(["--n", "6"] if mode == "fit" else [])) == 0
+    [report] = handed
+    assert _float_lists(report) == []
+    if mode in ("fit", "search"):
+        sequences = [report["coefficients"]["a"], report["thetas"], report["mapped_contour"]]
+    else:
+        sequences = [report["a"], *([report["contour"]] if mode == "evaluate" else [])]
+    for value in sequences:
+        assert isinstance(value, np.ndarray) and value.dtype == np.float64
+    text = json.dumps(report, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+    assert (tmp_path / f"{source.stem}_{mode}.json").read_text() == text
 
 
 def test_fit_is_deterministic_without_timing(rect_file, tmp_path):
@@ -392,6 +433,18 @@ def test_evaluate_rejects_malformed_json(tmp_path, capsys):
     src = tmp_path / "garbage.json"
     src.write_text("{]")
     assert run("evaluate", "--input", src, "--out", tmp_path) == 3
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 200_000, '{"F": 1.0, "a": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+    ids=["open", "closed"],
+)
+def test_a_deeply_nested_coefficients_file_exits_three(tmp_path, capsys, text):
+    src = tmp_path / "deep.json"
+    src.write_text(text)
+    assert run("evaluate", "--input", src, "--out", tmp_path) == 3
+    assert capsys.readouterr().err == "parse: coefficients file is nested too deeply\n"
 
 
 @pytest.mark.parametrize(

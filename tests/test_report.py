@@ -72,7 +72,8 @@ def test_report_schema_for_a_plain_fit():
     assert len(report["mapped_contour"]) == 41
     assert report["unresolved_theta_indices"] == []
     assert "per_N" not in report
-    assert "".join(report_pieces(report)) == json.dumps(report, indent=2, sort_keys=True)
+    expected = json.dumps(report, indent=2, sort_keys=True, default=np.ndarray.tolist)
+    assert "".join(report_pieces(report)) == expected
 
 
 def test_report_includes_search_trace():
@@ -86,7 +87,8 @@ def test_report_includes_search_trace():
     rows = report["per_N"]
     assert [row["N"] for row in rows] == [rec.order for rec in outcome.per_order]
     assert all(set(row) == {"N", "E_min", "iterations", "seconds"} for row in rows)
-    assert "".join(report_pieces(report)) == json.dumps(report, indent=2, sort_keys=True)
+    expected = json.dumps(report, indent=2, sort_keys=True, default=np.ndarray.tolist)
+    assert "".join(report_pieces(report)) == expected
 
 
 # Values json spells in its own way, or that sit at the edges of float repr.
@@ -135,12 +137,12 @@ def test_report_pieces_match_json_dumps(payload):
 
 
 def test_lists_longer_than_one_piece_match_json_dumps():
-    floats = np.linspace(-1.0, 1.0, 700).tolist()
+    floats = np.linspace(-1.0, 1.0, 2 * _CHUNK + 500).tolist()
     rows = np.column_stack([floats, floats]).tolist()
-    floats[300] = float("nan")
-    floats[100] = 3.5e-5  # orjson writes 0.000035, json 3.5e-05
-    rows[600][1] = 3
-    rows[20][0] = -2.5e16  # orjson writes -2.5e16, json -2.5e+16
+    floats[_CHUNK + 300] = float("nan")
+    floats[100] = 3.5e-5  # json writes 3.5e-05
+    rows[2 * _CHUNK + 100][1] = 3
+    rows[20][0] = -2.5e16  # json writes -2.5e+16
     payload = {"floats": floats, "rows": rows, "mixed": [*floats[:10], [1.0], *floats]}
     assert "".join(report_pieces(payload)) == json.dumps(payload, indent=2, sort_keys=True)
 
@@ -174,9 +176,9 @@ def test_boundary_floats_match_json_dumps(value):
 
 
 def _spelled_alike(values: np.ndarray) -> None:
-    floats = values.tolist()
-    payload = {"run": floats, "rows": [floats[i:i + 3] for i in range(0, len(floats), 3)]}
-    assert "".join(report_pieces(payload)) == json.dumps(payload, indent=2, sort_keys=True)
+    payload = {"run": values, "rows": values[:len(values) // 3 * 3].reshape(-1, 3)}
+    expected = json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist)
+    assert "".join(report_pieces(payload)) == expected
 
 
 def test_random_floats_match_json_dumps():
@@ -202,12 +204,16 @@ def test_in_range_contours_are_spelled_by_orjson(monkeypatch):
 
     monkeypatch.setattr(orjson, "dumps", eights)
     # cos(pi / 2) is 6e-17, which json spells with an exponent, so stop short.
-    theta = np.linspace(0.0, 1.5, 1000)
-    contour = np.column_stack([theta, np.sin(theta), np.cos(theta)]).tolist()
-    payload = {"contour": contour, "thetas": theta.tolist()}
-    text = "".join(report_pieces(payload))
-    assert len(calls) == 2 * 4  # each list of 1000 is 4 pieces of up to 256
-    assert text == json.dumps(payload, indent=2, sort_keys=True).replace("9", "8")
+    theta = np.linspace(0.0, 1.5, 2 * _CHUNK + 100)
+    contour = np.column_stack([theta, np.sin(theta), np.cos(theta)])
+    payload = {"contour": contour.tolist(), "thetas": theta.tolist()}
+    expected = json.dumps(payload, indent=2, sort_keys=True)
+    # Lists of the same floats are spelled by float.__repr__ alone.
+    assert "".join(report_pieces(payload)) == expected
+    assert calls == []
+    text = "".join(report_pieces({"contour": contour, "thetas": theta}))
+    assert len(calls) == 2 * 3  # each array is 3 pieces of up to _CHUNK rows
+    assert text == expected.replace("9", "8")
 
 
 # Values at the edges of the range where a float64 piece is spelled by

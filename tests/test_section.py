@@ -60,6 +60,26 @@ def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, bom):
         load_offsets(path)
 
 
+# The line breaks of str.splitlines other than \n, \r\n and \r.
+OTHER_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("mark", OTHER_BREAKS, ids=[f"U+{ord(c):04X}" for c in OTHER_BREAKS])
+def test_only_newlines_end_a_line(mark):
+    plain = "symmetric\n0,1\n0.5,0.8\n1,0\n"
+    for comment in (f"# moved 0.9,0.5{mark}0.95,0.3", f"# ask{mark}about this"):
+        text = plain.replace("1,0", f"{comment}\n1,0")
+        assert np.array_equal(parse_offsets(text).points, parse_offsets(plain).points)
+
+
+@pytest.mark.parametrize("mark", ["\f", "\u2028"], ids=["U+000C", "U+2028"])
+def test_a_decode_error_counts_only_newlines(tmp_path, mark):
+    path = tmp_path / "sec.txt"
+    path.write_bytes(f"symmetric\n0,1 # a{mark}b\n".encode() + b"# \xff\n1,0\n")
+    with pytest.raises(OffsetsParseError, match="^line 3: byte 0xff is not valid UTF-8$"):
+        load_offsets(path)
+
+
 def test_parse_rejects_bad_header():
     with pytest.raises(OffsetsParseError, match="header"):
         parse_offsets("mirror\n0,1\n1,0\n")
