@@ -64,7 +64,6 @@ def run_heeled(out_dir):
             report = build_report(
                 result, AccuracyReport(ex, ey, elapsed), "heeled_rectangle", False
             )
-            report["converged"] = result.converged
             write_report(out_dir / f"heeled_rectangle_n{order}_fit.json", report)
 
 

@@ -24,12 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    HullmapError,
-    OffsetsParseError,
-    SearchFailedError,
-    SectionValidationError,
-)
+from .errors import HullmapError, OffsetsParseError, SectionValidationError
 from .fit import FitConfig, fit_section
 from .mapping import MappingCoefficients, breadth_and_draft, evaluate_boundary, lewis_initial_guess
 from .report import _CHUNK, AccuracyReport, build_report, nash_sutcliffe, write_report
@@ -362,11 +357,7 @@ def _run(args: argparse.Namespace) -> int:
         outcome = None
     else:
         started = time.perf_counter()
-        try:
-            outcome = search_optimum(section)
-        except SearchFailedError as exc:
-            print(f"search: {exc}", file=sys.stderr)
-            return 5
+        outcome = search_optimum(section)
         elapsed = time.perf_counter() - started
         best = outcome.best_fit
 
@@ -374,8 +365,6 @@ def _run(args: argparse.Namespace) -> int:
     accuracy = AccuracyReport(ex, ey, 0.0 if args.no_timing else elapsed)
     report = build_report(best, accuracy, stem, section.symmetric, search=outcome)
     if outcome is None:
-        report["converged"] = best.converged
-        report["iterations"] = best.iterations
         state = "converged" if best.converged else "stopped"
         summary = f"fit {state}: N={args.n} E={best.error:.6g} after {best.iterations} sweeps"
     else:

@@ -56,7 +56,8 @@ def build_report(
 
     Scalars are plain Python types; the coefficients ``a``, the ``thetas``
     and the ``mapped_contour`` stay the fit's float64 arrays, which the
-    writer spells as their ``tolist()`` would be.
+    writer spells as their ``tolist()`` would be.  A plain fit's report
+    adds ``converged`` and ``iterations``, a search's ``per_N``.
     """
     if search is not None:
         best_order = search.best_order
@@ -80,7 +81,10 @@ def build_report(
         "mapped_contour": fit.mapped_points,
         "unresolved_theta_indices": sorted(int(i) for i in fit.thetas.unresolved),
     }
-    if search is not None:
+    if search is None:
+        report["converged"] = fit.converged
+        report["iterations"] = fit.iterations
+    else:
         report["per_N"] = [
             {
                 "N": rec.order,

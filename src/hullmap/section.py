@@ -92,6 +92,11 @@ def _validate(points: np.ndarray, symmetric: bool) -> None:
     if np.any(same):
         i = int(np.argmax(same))
         raise SectionValidationError(f"coincident consecutive points at index {i}")
+    # A point's normal is the secant through its neighbours.
+    same = np.all(points[2:] == points[:-2], axis=1)
+    if np.any(same):
+        i = int(np.argmax(same)) + 1
+        raise SectionValidationError(f"point {i} has no normal: points {i - 1} and {i + 1} coincide")
     if np.any(points[:, 1] < 0.0):
         i = int(np.argmax(points[:, 1] < 0.0))
         raise SectionValidationError(f"point {i} lies above the waterline (y < 0)")

@@ -6,8 +6,12 @@ Normals come from secants through neighbouring points, so they depend only on
 the geometry and stay fixed while the coefficients iterate.  The angle
 condition is the scalar root of a residual that is linear in the scaled
 coefficients.  `_batch_roots` is the one solver: it brackets every point's
-root by a uniform scan, picks each point's candidate, the one nearest its
-previous angle, and polishes all of them by bisection in lockstep.  The
+root by a uniform scan (``np.linspace``'s samples), picks each point's
+candidate, the one nearest its previous angle, and polishes all of them by
+bisection in lockstep.  It returns the roots, and where one was found, as
+arrays.  It reads each point from a table of rows that depend only on the
+geometry, x cos_phi, y sin_phi, cos_phi, sin_phi and the magnitudes its
+rounding bounds need (`_row_table`), built once per section.  The
 residual evaluates the boundary through `mapping._boundary`, the package's
 one evaluation of the odd-harmonic series, with the series terms built once
 per sweep.
@@ -48,9 +52,7 @@ every step of a block holds all its rows open.  A step with a midpoint in
 doubt makes its exact call on all those rows; the block keeps its path
 while each such call moves the ends the certificate moved, and rolls back
 to the first step whose call does not.  So every exact call happens at the
-same step with the same rows as it would one step at a time.  A section's
-normals depend only on its read-only points and are built on its first
-sweep.
+same step with the same rows as it would one step at a time.
 
 A point whose residual never changes sign inside its bracket keeps moving by
 linear extrapolation from its two predecessors and is reported as unresolved.
@@ -128,6 +130,16 @@ def _free_normals(section: SectionOffsets) -> np.ndarray:
     return _unit_normals(secants)
 
 
+def _row_table(points: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """The rows `_batch_roots` reads, one column per point (x, y) with normal (c, s).
+
+    The rows are x c, y s, c, s, |c| + |s| and |x c| + |y s|.
+    """
+    c, s = normals[:, 0], normals[:, 1]
+    xc, ys = points[:, 0] * c, points[:, 1] * s
+    return np.array([xc, ys, c, s, np.abs(c) + np.abs(s), np.abs(xc) + np.abs(ys)])
+
+
 # Per-section sweep invariants, keyed by the section object: a section's
 # points are read-only, so its rows are built on its first sweep and dropped
 # with the section.
@@ -135,7 +147,7 @@ _FREE_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _free_rows(section: SectionOffsets) -> tuple:
-    """The solved points' indices, their bracketing neighbours' indices, points and normals.
+    """The solved points' indices, their bracketing neighbours' indices and their `_row_table`.
 
     Built once per section; the arrays are read-only.
     """
@@ -147,8 +159,7 @@ def _free_rows(section: SectionOffsets) -> tuple:
             free,
             np.maximum(free - 1, 0),
             np.minimum(free + 1, last),
-            section.points[free],
-            _free_normals(section),
+            _row_table(section.points[free], _free_normals(section)),
         )
         for array in rows:
             array.setflags(write=False)
@@ -229,26 +240,27 @@ def _value_and_slope(odd, sin_weights, cos_weights, xc, ys, cos_phi, sin_phi, th
     return value, slope
 
 
-def _enclosures(series, sums, xc, ys, cos_phi, sin_phi, cs, xys, a, b, a_neg):
+def _enclosures(series, sums, table, a, b, a_neg):
     """Root estimates r and half-widths eta of the zones where a sign is in doubt.
 
-    Row k's residual is proved monotone on ``[a[k], b[k]]``, with the sign
-    ``a_neg[k]`` at its lower end, and every t there with |t - r| > eta has
-    the float residual's sign of (t - r) * slope; rows without that proof get
-    eta = inf.  ``series`` holds the arguments (odd, sin_weights,
-    cos_weights) of `_value_and_slope`, ``sums`` K, A, B and B2, ``cs``
-    |cos_phi| + |sin_phi| and ``xys`` |xc| + |ys| (see `_batch_roots`).
+    Row k, column k of the `_row_table` ``table``, has its residual proved
+    monotone on ``[a[k], b[k]]``, with the sign ``a_neg[k]`` at its lower
+    end, and every t there with |t - r| > eta has the float residual's sign
+    of (t - r) * slope; rows without that proof get eta = inf.  ``series``
+    holds the arguments (odd, sin_weights, cos_weights) of
+    `_value_and_slope` and ``sums`` K, A, B and B2 (see `_batch_roots`).
     """
     count, low, high, high2 = sums
+    cs, xys = table[4:]
     t_abs = np.maximum(np.abs(a), np.abs(b))
     r = 0.5 * (a + b)
-    f, slope = _value_and_slope(*series, xc, ys, cos_phi, sin_phi, r)
+    f, slope = _value_and_slope(*series, *table[:4], r)
     f_min = np.abs(slope) - _rounding_bound(cs, t_abs, high, high2, count) - cs * high2 * (b - a) * 0.5
     certified = (f_min > 0.0) & (a_neg == (slope > 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(NEWTON_STEPS):
             r = np.clip(r - f / slope, a, b)
-            f, slope = _value_and_slope(*series, xc, ys, cos_phi, sin_phi, r)
+            f, slope = _value_and_slope(*series, *table[:4], r)
         eta = (np.abs(f) + 2.0 * _rounding_bound(cs, t_abs, low, high, count, xys)) / f_min
     eta[~certified] = np.inf
     return r, eta
@@ -322,26 +334,17 @@ def _certified_steps(state, lo_neg, terms, count):
     return count, None, None
 
 
-def _scan_grid(lo, hi):
-    """Each bracket's `SCAN_SAMPLES` scan angles, as ``np.linspace`` places them.
-
-    That is linspace's own arithmetic, k * step + lo with hi as the last
-    sample, without its overhead; a step that underflows to zero takes
-    linspace's other branch, which then holds for every row.
-    """
-    step = (hi - lo) / (SCAN_SAMPLES - 1)
-    if not step.all():
-        return np.linspace(lo, hi, SCAN_SAMPLES, axis=-1)
-    grid = np.multiply.outer(step, np.arange(SCAN_SAMPLES, dtype=float))
-    grid += lo[:, None]
-    grid[:, -1] = hi
-    return grid
-
-
 # Scan-sample offsets from a hint's sample k: the window k - 1 .. k + 2, and
 # k - 2 and k + 3 for the nearest midpoints outside it.
 _STRIP = np.arange(-2, 4)
 _STRIP.setflags(write=False)
+
+
+def _samples(lo, hi, step, index):
+    """Scan samples ``index`` of [lo, hi] by linspace's arithmetic for a nonzero ``step``."""
+    samples = index * step + lo
+    np.copyto(samples, hi, where=index == SCAN_SAMPLES - 1)
+    return samples
 
 
 def _window_picks(values, rows, lo, hi, step, hint, doubt):
@@ -359,10 +362,7 @@ def _window_picks(values, rows, lo, hi, step, hint, doubt):
     # sends a NaN to the first window.
     position = (np.minimum(np.maximum(hint, lo), hi) - lo) / step
     k = np.fmin(np.fmax(np.floor(position), 2.0), last - 3.0).astype(np.intp)
-    index = k[:, None] + _STRIP
-    strip = index * step[:, None]
-    strip += lo[:, None]
-    np.copyto(strip, hi[:, None], where=index == last)
+    strip = _samples(lo[:, None], hi[:, None], step[:, None], k[:, None] + _STRIP)
     res = _horner_residual(values, *rows, strip[:, 1:-1])
     neg = res < 0.0
     # Signed distances from the hint of the midpoints of intervals k - 2 .. k + 2.
@@ -379,23 +379,23 @@ def _window_picks(values, rows, lo, hi, step, hint, doubt):
 
 def _batch_roots(
     scaled: ScaledCoefficients,
-    points: np.ndarray,
-    normals: np.ndarray,
+    table: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     prefer: np.ndarray,
-) -> list:
-    """Roots of the projection residual, one per row of ``points``, or None each.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of the projection residual, one per column of ``table``, and where one was found.
 
-    Row k solves point ``points[k]`` against the unit normal ``normals[k]`` =
-    (cos_phi, sin_phi) in the bracket ``[lo[k], hi[k]]``.  The bracket is
-    scanned at `SCAN_SAMPLES` uniform angles.  Every exact zero (placed at its
-    sample) and every sign change (placed at its interval's midpoint) is a
-    candidate; the one nearest ``prefer[k]`` is kept, zeros before sign
+    Row k solves the point and unit normal (cos_phi, sin_phi) of column k of
+    the `_row_table` ``table`` in the bracket ``[lo[k], hi[k]]``.  The
+    bracket is scanned at `SCAN_SAMPLES` uniform angles,
+    ``np.linspace(lo, hi, SCAN_SAMPLES, axis=-1)``.  Every exact zero (placed
+    at its sample) and every sign change (placed at its interval's midpoint)
+    is a candidate; the one nearest ``prefer[k]`` is kept, zeros before sign
     changes and the lower sample first on a tie.  Kept sign changes are
     refined by bisection in lockstep across rows, each until it is at most
-    tol = `THETA_TOL` wide.  An empty bracket or a scan without a candidate
-    gives None.
+    tol = `THETA_TOL` wide.  Returns the arrays ``(roots, found)``; an empty
+    bracket or a scan without a candidate gives found false and root nan.
 
     Only the signs of `_residual`, and whether it is exactly zero, decide
     anything, so a sign proved by a cheaper computation stands in for a call.
@@ -435,7 +435,9 @@ def _batch_roots(
 
     The scan first computes g only at the 4 samples k - 1 .. k + 2 around
     each row's hint, k being the sample below the hint, kept 2 samples from
-    either end of the grid, with the grid's own arithmetic (`_window_picks`).
+    either end of the grid, with linspace's own arithmetic (`_samples` in
+    `_window_picks`); a step that underflows to zero takes linspace's other
+    arithmetic, so then every row takes the full scan.
     A row takes its pick from that window when all 4 signs are certified
     and the key of the window's nearest sign change is strictly smaller than
     hint - m(k - 2) and m(k + 2) - hint, m(j) being interval j's midpoint as
@@ -494,15 +496,13 @@ def _batch_roots(
     the same order, as in the step-by-step bisection: a certificate only
     ever removes calls.
     """
-    roots: list[float | None] = [None] * len(points)
+    roots, found = np.full(len(lo), np.nan), np.zeros(len(lo), dtype=bool)
     usable = np.flatnonzero(lo < hi)
     if not usable.size:
-        return roots
-    if usable.size < len(points):
-        points, normals, lo, hi = points[usable], normals[usable], lo[usable], hi[usable]
+        return roots, found
+    if usable.size < len(lo):
+        table, lo, hi = table[:, usable], lo[usable], hi[usable]
     hint = prefer[usable]
-    c, s = normals[:, 0], normals[:, 1]
-    xc, ys = points[:, 0] * c, points[:, 1] * s
     values = scaled.values
     terms = _series_terms(values)
     odd, wx, wy = terms
@@ -510,25 +510,25 @@ def _batch_roots(
     mult = np.abs(odd)
     sums = (len(fa), fa.sum(), fa @ mult, fa @ (mult * mult))
     count, low, high, _ = sums
-    cs, xys = np.abs(c) + np.abs(s), np.abs(xc) + np.abs(ys)
+    cs, xys = table[4:]
     t_abs = np.maximum(np.abs(lo), np.abs(hi))
     doubt = _rounding_bound(cs, t_abs, low, high, count, xys) + _horner_bound(cs, low, high, count, xys)
-    rows = (xc[:, None], ys[:, None], c[:, None], s[:, None])
+    rows = table[:4, :, None]
 
     # Per usable row: whether it has a candidate, the picked zero (its root)
     # or sign change [b_lo, b_hi] with the residual's sign at b_lo.
     step = (hi - lo) / (SCAN_SAMPLES - 1)
     if step.all():
-        found, b_lo, b_hi, lo_neg = _window_picks(values, rows, lo, hi, step, hint, doubt)
+        picked, b_lo, b_hi, lo_neg = _window_picks(values, rows, lo, hi, step, hint, doubt)
     else:
-        found = np.zeros(usable.size, dtype=bool)
-        b_lo, b_hi, lo_neg = np.empty(usable.size), np.empty(usable.size), found.copy()
-    bisect = found.copy()
-    rest = np.flatnonzero(~found)
+        picked = np.zeros(usable.size, dtype=bool)
+        b_lo, b_hi, lo_neg = np.empty(usable.size), np.empty(usable.size), picked.copy()
+    bisect = picked.copy()
+    rest = np.flatnonzero(~picked)
     if rest.size:
-        whole = _scan_grid(lo, hi)
+        whole = np.linspace(lo, hi, SCAN_SAMPLES, axis=-1)
         grid = whole[rest]
-        res = _horner_residual(values, *(v[rest] for v in rows), grid)
+        res = _horner_residual(values, *rows[:, rest], grid)
         if not (np.abs(res) > doubt[rest, None]).all():
             res = _residual(terms, *rows, whole)[rest]
         neg, pos, zero = res < 0.0, res > 0.0, res == 0.0
@@ -543,7 +543,7 @@ def _batch_roots(
         ], axis=1)
         pick = keys.argmin(axis=1)
         changes = flip.any(axis=1) | zero.any(axis=1)
-        found[rest] = changes
+        picked[rest] = changes
         # The picked zero, or the left end of the picked sign change.
         left = pick % SCAN_SAMPLES
         every = np.arange(rest.size)
@@ -558,17 +558,15 @@ def _batch_roots(
 
     jobs = np.flatnonzero(bisect)
     if jobs.size < usable.size:
-        b_lo, b_hi, lo_neg = b_lo[jobs], b_hi[jobs], lo_neg[jobs]
-        xc, ys, c, s = xc[jobs], ys[jobs], c[jobs], s[jobs]
-        cs, xys = cs[jobs], xys[jobs]
+        b_lo, b_hi, lo_neg, table = b_lo[jobs], b_hi[jobs], lo_neg[jobs], table[:, jobs]
     # The sin and cos weight columns of `_value_and_slope`; -(wy * odd) is
     # wx * odd bit for bit.
     slope_weights = wx * odd
     series = (odd, np.array([wx, slope_weights]).T, np.array([wy, slope_weights]).T)
-    r, eta = _enclosures(series, sums, xc, ys, c, s, cs, xys, b_lo, b_hi, lo_neg)
+    r, eta = _enclosures(series, sums, table, b_lo, b_hi, lo_neg)
     # All a residual call or a block reads about a row, one column per row,
     # so that closing rows drops them with one index.
-    state = np.stack([b_lo, b_hi, xc, ys, c, s, r, eta])
+    state = np.vstack([b_lo, b_hi, table[:4], r, eta])
     certified = bool(np.isfinite(eta).all())
     t_max = float(t_abs.max())
     # Each residual call holds exactly the brackets still open, in row order
@@ -603,9 +601,9 @@ def _batch_roots(
             hit = f_mid == 0.0
             state[:2, hit] = mid[hit]
     out[jobs] = 0.5 * (state[0] + state[1])
-    for k, root in zip(usable[found].tolist(), out[found].tolist()):
-        roots[k] = root
-    return roots
+    found[usable] = picked
+    roots[found] = out[picked]
+    return roots, found
 
 
 SEED_GRID = 512
@@ -654,7 +652,7 @@ def assign_thetas(
     else:
         prev = previous.theta
 
-    free, before, after, free_points, normals = _free_rows(section)
+    free, before, after, table = _free_rows(section)
     if first_sweep:
         # The seed angles carry no neighbour history worth trusting, so every
         # point scans the whole domain and keeps the root nearest its seed.
@@ -663,23 +661,22 @@ def assign_thetas(
     else:
         lo = np.maximum(prev[before] - BRACKET_SLACK, theta_min)
         hi = np.minimum(prev[after] + BRACKET_SLACK, theta_max)
-    roots = _batch_roots(scaled, free_points, normals, lo, hi, prev[free])
-    if section.symmetric:
-        roots = [0.0, *roots, pi / 2.0]
+    roots, found = _batch_roots(scaled, table, lo, hi, prev[free])
 
     theta = np.empty(count)
-    unresolved: set[int] = set()
-    for i in range(count):
-        root = roots[i]
-        if root is not None:
-            theta[i] = root
-            continue
-        unresolved.add(i)
+    theta[free] = roots
+    solved = np.ones(count, dtype=bool)
+    solved[free] = found
+    if section.symmetric:
+        theta[0], theta[-1] = 0.0, pi / 2.0
+    # Unresolved points step on from the points before them, in point order.
+    unresolved = np.flatnonzero(~solved).tolist()
+    for i in unresolved:
         if i >= 2:
             stepped = theta[i - 1] + (theta[i - 1] - theta[i - 2])
             theta[i] = min(max(stepped, theta_min), theta_max)
         elif i == 1:
-            if roots[0] is None:
+            if not solved[0]:
                 raise FitAbortError("first two points have no projected angle")
             theta[1] = min(max(float(prev[1]), theta[0]), theta_max)
         else:

@@ -71,6 +71,8 @@ def test_report_schema_for_a_plain_fit():
     assert len(report["thetas"]) == 41
     assert len(report["mapped_contour"]) == 41
     assert report["unresolved_theta_indices"] == []
+    assert report["converged"] is fit.converged is True
+    assert report["iterations"] == fit.iterations > 0
     assert "per_N" not in report
     expected = json.dumps(report, indent=2, sort_keys=True, default=np.ndarray.tolist)
     assert "".join(report_pieces(report)) == expected
@@ -87,6 +89,7 @@ def test_report_includes_search_trace():
     rows = report["per_N"]
     assert [row["N"] for row in rows] == [rec.order for rec in outcome.per_order]
     assert all(set(row) == {"N", "E_min", "iterations", "seconds"} for row in rows)
+    assert "converged" not in report and "iterations" not in report
     expected = json.dumps(report, indent=2, sort_keys=True, default=np.ndarray.tolist)
     assert "".join(report_pieces(report)) == expected
 

@@ -1,8 +1,14 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hullmap.cli import main
 from hullmap.errors import (
     DegenerateSectionError,
     HullmapError,
@@ -215,6 +221,33 @@ def test_any_text_parses_to_finite_geometry_or_raises(text):
     assert np.all(np.isfinite(sec.points))
     for extent in (sec.breadth, sec.draft, sec.half_breadth_left, sec.half_breadth_right):
         assert np.isfinite(extent) and extent > 0.0
+
+
+_COORDINATES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(sorted(_BASE_ROWS)), st.data())
+def test_a_point_whose_neighbours_coincide_is_a_parse_error(header, data):
+    # Point j + 1 goes out to q and back to point j, so its neighbours, j
+    # and j + 2, coincide and the secant through them gives it no normal.
+    rows = list(_BASE_ROWS[header])
+    j = data.draw(st.integers(0, len(rows) - 1), label="j")
+    q = data.draw(st.tuples(_COORDINATES, _COORDINATES).filter(lambda q: q not in rows), label="q")
+    rows[j + 1:j + 1] = [q, rows[j]]
+    text = "\n".join([header, *(f"{x!r},{y!r}" for x, y in rows)]) + "\n"
+    message = f"point {j + 1} has no normal: points {j} and {j + 2} coincide"
+    with pytest.raises(SectionValidationError) as raised:
+        parse_offsets(text)
+    assert str(raised.value) == message
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spike.txt"
+        path.write_text(text)
+        for mode, extra in (("lewis", []), ("fit", ["--n", "5"]), ("search", [])):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([mode, "--input", str(path), *extra, "--out", str(Path(tmp) / "out")])
+            assert (code, err.getvalue()) == (3, f"parse: {message}\n")
 
 
 @st.composite

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 import hullmap.theta as theta_mod
@@ -22,6 +22,16 @@ from hullmap.theta import (
 from oracles import lockstep_bisect_roots, projection_residual, scan_and_bisect_root
 
 CIRCLE = ScaledCoefficients(np.array([1.0, 0.0]))
+
+
+def _listed(roots, found):
+    """The ``(roots, found)`` arrays of `_batch_roots` as a list, None where no root was found."""
+    return [root if ok else None for root, ok in zip(roots.tolist(), found.tolist())]
+
+
+def _solve(scaled, pts, normals, lo, hi, prefer):
+    """`_batch_roots` on the row table of ``pts`` and ``normals``, `_listed`."""
+    return _listed(*_batch_roots(scaled, theta_mod._row_table(pts, normals), lo, hi, prefer))
 
 
 def _normals(points, symmetric):
@@ -124,7 +134,7 @@ def _circle_roots(cases):
         [0.5 * (b[0] + b[1]) if hint is None else hint for _, b, hint in cases]
     )
     vertical = np.tile([1.0, 0.0], (len(cases), 1))
-    return _batch_roots(CIRCLE, pts, vertical, lo, hi, prefer)
+    return _solve(CIRCLE, pts, vertical, lo, hi, prefer)
 
 
 def test_solve_theta_on_the_circle():
@@ -185,7 +195,7 @@ def test_batch_roots_match_scalar_roots(values, count, data):
     lo = np.array([data.draw(st.floats(-2.0, 1.0)) for _ in range(count)])
     hi = lo + np.array([data.draw(st.floats(0.0, 3.0)) for _ in range(count)])
     prefer = 0.5 * (lo + hi)
-    batch = _batch_roots(scaled, pts, normals, lo, hi, prefer)
+    batch = _solve(scaled, pts, normals, lo, hi, prefer)
     for i in range(count):
         c, s = normals[i]
         scalar = scan_and_bisect_root(values, pts[i], c, s, lo[i], hi[i], prefer[i])
@@ -310,19 +320,22 @@ def test_batch_roots_equal_the_lockstep_oracle_bit_for_bit(values, rows):
         else:
             t = grid[i, j] if kind == "sample" else 0.5 * (grid[i, j] + grid[i, j + 1])
             pts[i] = boundary_from_scaled(values, t)
-    got = _batch_roots(scaled, pts, normals, lo, hi, prefer)
+    got = _solve(scaled, pts, normals, lo, hi, prefer)
     assert got == _lockstep(scaled, pts, normals, lo, hi, prefer)
 
 
 def test_fit_sweeps_equal_the_lockstep_oracle_bit_for_bit(rectangle41, monkeypatch):
     real = _batch_roots
     compared = []
+    pts = rectangle41.points[1:-1]
+    normals = theta_mod._free_normals(rectangle41)
 
-    def checked(scaled, pts, normals, lo, hi, prefer):
-        roots = real(scaled, pts, normals, lo, hi, prefer)
-        assert roots == _lockstep(scaled, pts, normals, lo, hi, prefer)
-        compared.append(len(roots))
-        return roots
+    def checked(scaled, table, lo, hi, prefer):
+        assert np.array_equal(table, theta_mod._row_table(pts, normals))
+        out = real(scaled, table, lo, hi, prefer)
+        assert _listed(*out) == _lockstep(scaled, pts, normals, lo, hi, prefer)
+        compared.append(len(out[0]))
+        return out
 
     monkeypatch.setattr(theta_mod, "_batch_roots", checked)
     result = fit_section(rectangle41, FitConfig(5, 1e-8))
@@ -426,7 +439,7 @@ def _circle_rows_with_exact_zeros(offset, count=24, seed=0):
 def test_a_sample_residual_zero_to_rounding_forces_the_exact_scan(monkeypatch):
     pts, normals, lo, hi, at = _circle_rows_with_exact_zeros(0.0)
     counter = _CountingResidual(monkeypatch)
-    got = _batch_roots(CIRCLE, pts, normals, lo, hi, at)
+    got = _solve(CIRCLE, pts, normals, lo, hi, at)
     assert counter.scans == 1
     assert got == at.tolist()
     assert got == _lockstep(CIRCLE, pts, normals, lo, hi, at)
@@ -435,7 +448,7 @@ def test_a_sample_residual_zero_to_rounding_forces_the_exact_scan(monkeypatch):
 def test_a_midpoint_in_the_zone_of_doubt_forces_an_exact_step(monkeypatch):
     pts, normals, lo, hi, at = _circle_rows_with_exact_zeros(0.5)
     counter = _CountingResidual(monkeypatch)
-    got = _batch_roots(CIRCLE, pts, normals, lo, hi, at)
+    got = _solve(CIRCLE, pts, normals, lo, hi, at)
     assert counter.scans == 0 and counter.steps >= 1
     assert got == at.tolist()
     assert got == _lockstep(CIRCLE, pts, normals, lo, hi, at)
@@ -493,7 +506,7 @@ def test_doubt_in_mid_block_rolls_back_to_that_step(monkeypatch):
     normals = np.tile([1.0, 0.0], (3, 1))
     prefer = np.array([at[0], at[1], np.arcsin(0.4)])
     counter = _CountingResidual(monkeypatch)
-    got = _batch_roots(CIRCLE, pts, normals, lo, hi, prefer)
+    got = _solve(CIRCLE, pts, normals, lo, hi, prefer)
     assert counter.scans == 0
     assert [len(angles) for angles in counter.angles] == [3, 2]
     # Row 2's bisection keeps the half of its scan interval holding asin(0.4).
@@ -521,7 +534,7 @@ def test_a_doubtful_step_whose_exact_call_agrees_keeps_the_block(monkeypatch):
     prefer = np.array([first, asin(0.4)])
     counter = _CountingResidual(monkeypatch)
     blocks = _record_blocks(monkeypatch)
-    got = _batch_roots(CIRCLE, pts, normals, lo, hi, prefer)
+    got = _solve(CIRCLE, pts, normals, lo, hi, prefer)
     k = int(np.searchsorted(grid[1], asin(0.4))) - 1
     assert counter.scans == 0
     assert [angles.tolist() for angles in counter.angles] == [[first, 0.5 * (grid[1, k] + grid[1, k + 1])]]
@@ -560,7 +573,7 @@ def test_a_root_estimate_on_a_midpoint_rolls_the_block_back(monkeypatch):
     pts = np.array([[0.4, 0.3], [0.55, 0.9]])
     normals = np.tile([1.0, 0.0], (2, 1))
     prefer = np.array([root, asin(0.55)])
-    got = _batch_roots(CIRCLE, pts, normals, lo, hi, prefer)
+    got = _solve(CIRCLE, pts, normals, lo, hi, prefer)
     assert blocks[0][1] == j
     assert counter.angles[0][0] == mids[j]
     assert got == _lockstep(CIRCLE, pts, normals, lo, hi, prefer)
@@ -574,9 +587,54 @@ def test_a_bracket_whose_scan_step_underflows_is_sampled_as_linspace_samples_it(
     pts = np.array([[3e-323, 0.5], [0.5, 0.5]])
     normals = np.tile([1.0, 0.0], (2, 1))
     lo, hi = np.array([0.0, 0.1]), np.array([1e-322, 0.9])
-    got = _batch_roots(CIRCLE, pts, normals, lo, hi, np.array([0.0, 0.5]))
+    got = _solve(CIRCLE, pts, normals, lo, hi, np.array([0.0, 0.5]))
     assert got[0] == 3e-323
     assert got == _lockstep(CIRCLE, pts, normals, lo, hi, np.array([0.0, 0.5]))
+
+
+# Bracket lower ends anywhere in and beyond the widest domain, negative
+# ones included, or within a few ulps of +-pi/2; widths of 1 to 8 ulps of
+# the lower end, or floats.  Ends below 1e-290 would give ulp widths whose
+# scan step underflows, which the window never sees.
+_BRACKET_ENDS = st.one_of(
+    st.floats(-4.0, 4.0).filter(lambda end: abs(end) > 1e-290),
+    st.sampled_from([-pi / 2.0, pi / 2.0]).flatmap(
+        lambda edge: st.integers(-4, 4).map(lambda n: edge + n * float(np.spacing(edge)))
+    ),
+)
+_BRACKET_WIDTHS = st.one_of(
+    st.integers(1, 8).map(lambda n: lambda end: n * abs(float(np.spacing(end)))),
+    st.floats(1e-9, 3.0).map(lambda width: lambda end: width),
+)
+
+
+@given(st.lists(st.tuples(_BRACKET_ENDS, _BRACKET_WIDTHS, st.floats(-1.0, 2.0)), min_size=1, max_size=20))
+# A hint past hi puts the last sample in the window; here 63 steps from lo
+# overshoot hi, 1.96, by an ulp, and linspace writes hi itself.
+@example([(-0.02, lambda end: 1.98, 2.0)])
+def test_every_window_sample_is_the_linspace_sample(rows):
+    # The window's pick equals the full scan's only if its samples are the
+    # full scan's, np.linspace's, bit for bit.
+    lo = np.array([end for end, _, _ in rows])
+    hi = np.array([end + width(end) for end, width, _ in rows])
+    step = (hi - lo) / (theta_mod.SCAN_SAMPLES - 1)
+    assume((lo < hi).all() and step.all())
+    hint = lo + np.array([share for _, _, share in rows]) * (hi - lo)
+    grid = np.linspace(lo, hi, theta_mod.SCAN_SAMPLES, axis=-1)
+    real = theta_mod._samples
+    strips = []
+
+    def recorded(*args):
+        strips.append((args[3], real(*args)))
+        return strips[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(theta_mod, "_samples", recorded)
+        _solve(CIRCLE, np.tile([0.5, 0.5], (len(rows), 1)), np.tile([1.0, 0.0], (len(rows), 1)), lo, hi, hint)
+    ((index, strip),) = strips
+    assert np.array_equal(strip.view(np.uint64), np.take_along_axis(grid, index, axis=1).view(np.uint64))
+    every = real(lo[:, None], hi[:, None], step[:, None], np.arange(theta_mod.SCAN_SAMPLES))
+    assert np.array_equal(every.view(np.uint64), grid.view(np.uint64))
 
 
 def test_a_fit_builds_its_normals_once(monkeypatch):
@@ -606,7 +664,7 @@ def test_three_roots_in_one_scan_interval_leave_the_row_uncertified(monkeypatch)
     lo, hi = np.array([-0.3155, -0.3155]), np.array([0.3145, 0.3145])
     prefer = np.zeros(2)
     counter = _CountingResidual(monkeypatch)
-    got = _batch_roots(scaled, pts, normals, lo, hi, prefer)
+    got = _solve(scaled, pts, normals, lo, hi, prefer)
     assert counter.steps >= 1
     assert got == _lockstep(scaled, pts, normals, lo, hi, prefer)
     assert abs(got[0]) < 2e-3
@@ -650,10 +708,10 @@ def test_unresolved_points_step_by_extrapolation(tiny_symmetric, monkeypatch):
 
     real = _batch_roots
 
-    def drop_last_interior(scaled, pts, normals, lo, hi, prefer):
-        roots = real(scaled, pts, normals, lo, hi, prefer)
-        roots[-1] = None
-        return roots
+    def drop_last_interior(scaled, table, lo, hi, prefer):
+        roots, found = real(scaled, table, lo, hi, prefer)
+        roots[-1], found[-1] = np.nan, False
+        return roots, found
 
     monkeypatch.setattr(theta_mod, "_batch_roots", drop_last_interior)
     out = assign_thetas(CIRCLE, tiny_symmetric, reference)
@@ -667,11 +725,10 @@ def test_extrapolation_clamps_to_the_domain(tiny_asymmetric, monkeypatch):
     reference = assign_thetas(CIRCLE, tiny_asymmetric)
     real = _batch_roots
 
-    def no_roots(scaled, pts, normals, lo, hi, prefer):
-        roots = real(scaled, pts, normals, lo, hi, prefer)
-        for k in range(2, len(roots)):
-            roots[k] = None
-        return roots
+    def no_roots(scaled, table, lo, hi, prefer):
+        roots, found = real(scaled, table, lo, hi, prefer)
+        roots[2:], found[2:] = np.nan, False
+        return roots, found
 
     monkeypatch.setattr(theta_mod, "_batch_roots", no_roots)
     out = assign_thetas(CIRCLE, tiny_asymmetric, reference)
@@ -684,7 +741,7 @@ def test_abort_when_the_leading_points_have_no_angle(tiny_asymmetric, monkeypatc
     monkeypatch.setattr(
         theta_mod,
         "_batch_roots",
-        lambda scaled, pts, normals, lo, hi, prefer: [None] * len(pts),
+        lambda scaled, table, lo, hi, prefer: (np.full(len(lo), np.nan), np.zeros(len(lo), dtype=bool)),
     )
     with pytest.raises(FitAbortError):
         assign_thetas(CIRCLE, tiny_asymmetric)
