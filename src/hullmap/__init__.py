@@ -10,48 +10,7 @@ alternating fit (:mod:`hullmap.fit`), the order search
 command line front end (:mod:`hullmap.cli`).
 """
 
-from .errors import (
-    ConfigurationError,
-    DegenerateNormalError,
-    DegenerateSectionError,
-    DimensionMismatchError,
-    FitAbortError,
-    HullmapError,
-    OffsetsParseError,
-    SearchFailedError,
-    SectionValidationError,
-    SingularSystemError,
-)
-from .fit import FitConfig, FitResult, compute_error, fit_nonsymmetric, fit_section, fit_symmetric
-from .linsys import LinearSystem, assemble_general, assemble_symmetric, lu_solve
-from .mapping import (
-    LewisGuess,
-    MappingCoefficients,
-    ScaledCoefficients,
-    average_coefficients,
-    breadth_and_draft,
-    evaluate_boundary,
-    evaluate_offset_contour,
-    lewis_initial_guess,
-)
-from .report import AccuracyReport, build_report, nash_sutcliffe
-from .search import SearchRecord, SearchReport, min_error_for_order, next_tolerance, search_optimum
-from .section import (
-    SectionOffsets,
-    from_points,
-    full_area,
-    load_offsets,
-    mirror_to_full,
-    parse_offsets,
-    section_extents,
-    serialize_offsets,
-    split_areas,
-)
-from .theta import (
-    NormalDirection,
-    ThetaAssignment,
-    assign_thetas,
-    theta_residual,
-)
+from .fit import FitConfig, fit_section
+from .search import search_optimum
 
 __version__ = "0.1.0"

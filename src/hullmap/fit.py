@@ -19,7 +19,6 @@ from .linsys import assemble_general, assemble_symmetric, lu_solve
 from .mapping import (
     MappingCoefficients,
     ScaledCoefficients,
-    average_coefficients,
     boundary_from_scaled,
     lewis_initial_guess,
 )
@@ -91,9 +90,7 @@ def _seed_asymmetric(section: SectionOffsets, order: int) -> np.ndarray:
     right = lewis_initial_guess(2.0 * section.half_breadth_right, section.draft, 2.0 * area_right)
     fa_left = _pad_to_order(left.coefficients.scale * left.coefficients.a, order)
     fa_right = _pad_to_order(right.coefficients.scale * right.coefficients.a, order)
-    return average_coefficients(
-        ScaledCoefficients(fa_left), ScaledCoefficients(fa_right)
-    ).values.copy()
+    return 0.5 * (fa_left + fa_right)
 
 
 def _fit_result(best, history, fa_history, theta_history, converged: bool, diverged: bool) -> FitResult:
@@ -139,13 +136,6 @@ def _run_fit(
             solved = lu_solve(assemble(thetas, section, config.order)).values
         except SingularSystemError:
             diverged = True
-            if best is None:
-                # Nothing usable solved yet: report the seed state at these angles.
-                error = compute_error(section, _mapped(fa, thetas))
-                history.append(error)
-                fa_history.append(fa.copy())
-                theta_history.append(thetas)
-                best = (error, fa.copy(), thetas)
             break
         error = compute_error(section, _mapped(solved, thetas))
         history.append(error)
@@ -168,7 +158,8 @@ def _run_fit(
         fa, prev = solved, thetas
 
     if best is None:
-        # No sweep kept a positive leading coefficient; report the seed state.
+        # No sweep solved, or none kept a positive leading coefficient: report
+        # the seed state at the first sweep's angles.
         diverged = True
         thetas = assign_thetas(ScaledCoefficients(seed), section, None)
         best = (compute_error(section, _mapped(seed, thetas)), seed.copy(), thetas)

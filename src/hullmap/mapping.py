@@ -23,8 +23,6 @@ from math import inf, pi, sqrt
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-
 
 # The two per-order factors of the series, built once per length because
 # every sweep of a fit needs them several times; they are read-only.
@@ -138,14 +136,6 @@ def breadth_and_draft(coeffs: MappingCoefficients) -> tuple[float, float]:
     breadth = 2.0 * float(np.sum(fa))
     draft = float(np.dot(_alternating(len(fa)), fa))
     return breadth, draft
-
-
-def average_coefficients(left: ScaledCoefficients, right: ScaledCoefficients) -> ScaledCoefficients:
-    if len(left.values) != len(right.values):
-        raise DimensionMismatchError(
-            f"cannot average vectors of length {len(left.values)} and {len(right.values)}"
-        )
-    return ScaledCoefficients(0.5 * (left.values + right.values))
 
 
 @dataclass(frozen=True)

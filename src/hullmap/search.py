@@ -8,7 +8,8 @@ sweep that beats half the error at the current floor, at most
 `MAX_TIGHTENING_ROUNDS` times.  That is the outcome of halving the target
 and refitting until the fit can no longer follow, since every refit from the
 deterministic seed retraces the same sweeps and each halving's first hit
-lies after the previous one.  An order without a gate leaves the tolerance
+lies after the previous one.  An order without a gate, which includes one
+whose fit solved no sweep or lost its anchor points, leaves the tolerance
 unchanged; an accepted order hands the next one a tolerance derived from its
 floor (subtract 0.1 above 0.1, otherwise divide by 10).
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError, SearchFailedError
+from .errors import ConfigurationError, FitAbortError, SearchFailedError
 from .fit import FitConfig, FitResult, _fit_result, fit_section
 from .section import SectionOffsets
 
@@ -81,22 +82,18 @@ def min_error_for_order(section: SectionOffsets, order: int, config: FitConfig) 
     return result.error if index is None else result.error_history[index]
 
 
-def search_optimum(
-    section: SectionOffsets,
-    order_range: tuple[int, int] = (5, 100),
-    e_floor: float | None = None,
-    initial_tolerance: float = INITIAL_TOLERANCE,
-) -> SearchReport:
+def search_optimum(section: SectionOffsets, order_range: tuple[int, int] = (5, 100)) -> SearchReport:
     """Walk the order range, tracking the floor error wherever a gate passes.
 
     The optimum is the last order whose gate converged; its floor error is
-    also the smallest seen because tolerances only tighten.  The search stops
-    early once a floor error reaches ``e_floor`` (default: 1e-12 times the
-    squared section scale).
+    also the smallest seen because tolerances only tighten.  An order whose
+    fit solved no sweep or lost its anchor has no gate.  The search stops
+    early once a floor error reaches `FLOOR_SCALE` times the squared section
+    scale.
     """
     scale = max(section.breadth, section.draft)
-    floor_target = e_floor if e_floor is not None else FLOOR_SCALE * scale * scale
-    tolerance = initial_tolerance
+    floor_target = FLOOR_SCALE * scale * scale
+    tolerance = INITIAL_TOLERANCE
     trace: list[tuple[int, float]] = []
     records: list[SearchRecord] = []
     floor_sweep: tuple[FitResult, int] | None = None
@@ -105,7 +102,10 @@ def search_optimum(
         started = time.perf_counter()
         # The trajectory may stop at the floor target; if the gate tolerance
         # has tightened below it the run must push that deep to stay decidable.
-        result = fit_section(section, FitConfig(order, min(tolerance, floor_target)))
+        try:
+            result = fit_section(section, FitConfig(order, min(tolerance, floor_target)))
+        except FitAbortError:
+            continue
         elapsed = time.perf_counter() - started
         index = _floor_index(result.error_history, tolerance)
         if index is None:
@@ -118,7 +118,7 @@ def search_optimum(
         tolerance = next_tolerance(floor)
     if floor_sweep is None:
         raise SearchFailedError(
-            f"no order in {order_range} converged at tolerance {initial_tolerance}"
+            f"no order in {order_range} converged at tolerance {INITIAL_TOLERANCE}"
         )
     result, index = floor_sweep
     end = index + 1

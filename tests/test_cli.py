@@ -15,7 +15,7 @@ import hullmap.cli as cli_mod
 from hullmap.cli import main
 from hullmap.errors import SearchFailedError
 from hullmap.mapping import MappingCoefficients
-from hullmap.section import serialize_offsets
+from hullmap.section import from_points, serialize_offsets
 from hullmap.shapes import ellipse_section, heeled_rectangle, rectangle_section
 
 
@@ -568,6 +568,15 @@ def test_search_failure_exits_five(rect_file, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "search_optimum", boom)
     assert run("search", "--input", rect_file, "--out", tmp_path) == 5
     assert "search" in capsys.readouterr().err
+
+
+def test_a_search_whose_fits_solve_nothing_exits_five(tmp_path, capsys):
+    # Three points leave every order's first system singular.
+    path = tmp_path / "three.txt"
+    path.write_text(serialize_offsets(from_points([(0.0, 1.0), (0.7, 0.6), (1.0, 0.0)], symmetric=True)))
+    assert run("fit", "--input", path, "--n", "5", "--out", tmp_path) == 4
+    assert run("search", "--input", path, "--out", tmp_path) == 5
+    assert "search: no order in (5, 100) converged" in capsys.readouterr().err
 
 
 def test_diverged_fit_exits_four(rect_file, tmp_path, monkeypatch, capsys):

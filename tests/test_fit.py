@@ -3,7 +3,8 @@ from math import pi
 import numpy as np
 import pytest
 
-from hullmap.errors import ConfigurationError, DimensionMismatchError
+import hullmap.fit
+from hullmap.errors import ConfigurationError, DimensionMismatchError, SingularSystemError
 from hullmap.fit import (
     FitConfig,
     _mapped,
@@ -103,6 +104,53 @@ def test_nonconverged_fit_reports_its_best_state():
         e for e, fa in zip(res.error_history, res.fa_history) if fa[0] > 0.0
     ]
     assert res.error == pytest.approx(min(positive), rel=1e-15)
+
+
+def test_a_fit_whose_first_system_is_singular_reports_the_seed():
+    # Three points cannot pin order 5's seven unknowns.
+    sec = from_points([(0.0, 1.0), (0.7, 0.6), (1.0, 0.0)], symmetric=True)
+    res = fit_section(sec, FitConfig(order=5, tolerance=1e-6))
+    assert (res.error_history, res.fa_history, res.theta_history) == ([], [], [])
+    assert res.iterations == 0
+    assert res.diverged and not res.converged
+    seed = _seed_symmetric(sec, 5)
+    thetas = assign_thetas(ScaledCoefficients(seed), sec, None)
+    assert np.array_equal(res.thetas.theta, thetas.theta)
+    assert np.array_equal(res.mapped_points, _mapped(seed, thetas))
+    assert res.error == compute_error(sec, res.mapped_points)
+
+
+def test_a_singular_system_after_solved_sweeps_keeps_the_best_sweep(monkeypatch, rectangle41):
+    solved = fit_symmetric(rectangle41, FitConfig(6, 0.0, 3))
+    real, calls = lu_solve, []
+
+    def solve_three(system):
+        calls.append(system)
+        if len(calls) > 3:
+            raise SingularSystemError("fourth system")
+        return real(system)
+
+    monkeypatch.setattr(hullmap.fit, "lu_solve", solve_three)
+    res = fit_symmetric(rectangle41, FitConfig(6, 0.0))
+    assert res.diverged and not res.converged
+    assert res.error_history == solved.error_history and res.iterations == 3
+    best = int(np.argmin(res.error_history))
+    assert res.error == res.error_history[best]
+    assert res.thetas is res.theta_history[best]
+    assert np.array_equal(res.mapped_points, _mapped(solved.fa_history[best], res.thetas))
+
+
+def test_a_fit_that_never_keeps_a_positive_anchor_reports_the_seed(monkeypatch, rectangle41):
+    real = lu_solve
+    monkeypatch.setattr(hullmap.fit, "lu_solve", lambda system: ScaledCoefficients(-real(system).values))
+    res = fit_symmetric(rectangle41, FitConfig(order=6, tolerance=1e3, max_iterations=3))
+    assert all(fa[0] < 0.0 for fa in res.fa_history) and res.iterations == 3
+    assert res.diverged and not res.converged
+    # The seed state is reported at the first sweep's angles.
+    assert np.array_equal(res.thetas.theta, res.theta_history[0].theta)
+    mapped = _mapped(_seed_symmetric(rectangle41, 6), res.thetas)
+    assert np.array_equal(res.mapped_points, mapped)
+    assert res.error == compute_error(rectangle41, mapped)
 
 
 def test_constraints_hold_at_every_sweep(rectangle41):

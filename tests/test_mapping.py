@@ -2,14 +2,10 @@ from math import copysign, log, pi
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from hullmap.errors import DimensionMismatchError
 from hullmap.mapping import (
     MappingCoefficients,
     ScaledCoefficients,
-    average_coefficients,
     boundary_from_scaled,
     breadth_and_draft,
     evaluate_boundary,
@@ -177,26 +173,6 @@ def test_boundary_scalar_and_array_forms_agree():
         # reorder the additions; agreement is to rounding, not bitwise.
         assert x == pytest.approx(xs[k], rel=1e-14, abs=1e-15)
         assert y == pytest.approx(ys[k], rel=1e-14, abs=1e-15)
-
-
-@given(
-    st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=7),
-    st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=7),
-)
-def test_averaging_is_elementwise(left, right):
-    n = min(len(left), len(right))
-    a = ScaledCoefficients(np.array(left[:n]))
-    b = ScaledCoefficients(np.array(right[:n]))
-    mean = average_coefficients(a, b).values
-    assert np.allclose(mean, 0.5 * (np.array(left[:n]) + np.array(right[:n])), atol=1e-15)
-
-
-def test_averaging_rejects_length_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        average_coefficients(
-            ScaledCoefficients(np.array([1.0, 0.1])),
-            ScaledCoefficients(np.array([1.0, 0.1, 0.0])),
-        )
 
 
 def _lewis_area(coeffs: MappingCoefficients) -> float:

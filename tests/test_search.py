@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hullmap.search
-from hullmap.errors import ConfigurationError, SearchFailedError
+from hullmap.errors import ConfigurationError, FitAbortError, SearchFailedError
 from hullmap.fit import FitConfig, _fit_result, compute_error, fit_section
 from hullmap.mapping import boundary_from_scaled
 from hullmap.search import (
@@ -16,7 +16,7 @@ from hullmap.search import (
     next_tolerance,
     search_optimum,
 )
-from hullmap.shapes import ellipse_section, rectangle_section
+from hullmap.shapes import ellipse_section, heeled_rectangle, rectangle_section
 from hullmap.theta import ThetaAssignment
 
 from oracles import replay_floor
@@ -112,7 +112,8 @@ def _stub_fits(monkeypatch, section, histories):
     """Fit each order by replaying its made-up error history; returns the configs received.
 
     Like the fit, the stub stops at the first sweep under its tolerance.
-    Sweep k's coefficients are (1 + k, 0) and its angles are all 0.01 k.
+    Sweep k's coefficients are (1 + k, 0) and its angles are all 0.01 k.  An
+    order whose history is None aborts.
     """
     received: list[FitConfig] = []
 
@@ -120,6 +121,8 @@ def _stub_fits(monkeypatch, section, histories):
         assert sec is section
         received.append(config)
         history = histories[config.order]
+        if history is None:
+            raise FitAbortError("first two points have no projected angle")
         stop = next((k + 1 for k, e in enumerate(history) if e < config.tolerance), len(history))
         errors = history[:stop]
         fas = [np.array([1.0 + k, 0.0]) for k in range(stop)]
@@ -131,14 +134,30 @@ def _stub_fits(monkeypatch, section, histories):
     return received
 
 
+def _set_floor_target(monkeypatch, section, target):
+    """Make the search's floor target, `FLOOR_SCALE` times the squared scale, ``target``."""
+    scale = max(section.breadth, section.draft)
+    monkeypatch.setattr(hullmap.search, "FLOOR_SCALE", target / (scale * scale))
+    assert hullmap.search.FLOOR_SCALE * scale * scale == target
+
+
 def test_an_order_that_misses_its_gate_leaves_the_tolerance(monkeypatch, tiny_symmetric):
     histories = {5: [20.0, 12.0], 6: [8.0, 3.0, 2.5], 7: [4.0, 2.0]}
     _stub_fits(monkeypatch, tiny_symmetric, histories)
-    report = search_optimum(tiny_symmetric, (5, 7), e_floor=1e-12)
+    report = search_optimum(tiny_symmetric, (5, 7))
     # Order 6 gates at 8.0 and halves to 3.0; order 7 gates under 2.9 at 2.0.
     assert report.tolerance_trace == [(5, 10.0), (6, 10.0), (7, next_tolerance(3.0))]
     assert [(r.order, r.e_min, r.iterations) for r in report.per_order] == [(6, 3.0, 3), (7, 2.0, 2)]
     assert (report.best_order, report.best_error) == (7, 2.0)
+
+
+def test_an_order_whose_fit_aborts_has_no_gate(monkeypatch, tiny_symmetric):
+    histories = {5: [20.0, 3.0], 6: None, 7: [4.0, 2.0]}
+    received = _stub_fits(monkeypatch, tiny_symmetric, histories)
+    report = search_optimum(tiny_symmetric, (5, 7))
+    assert [c.order for c in received] == [5, 6, 7]
+    assert report.tolerance_trace == [(5, 10.0), (6, next_tolerance(3.0)), (7, next_tolerance(3.0))]
+    assert [(r.order, r.e_min) for r in report.per_order] == [(5, 3.0), (7, 2.0)]
 
 
 def test_a_tolerance_below_the_floor_target_is_the_fit_target(monkeypatch, tiny_symmetric):
@@ -146,7 +165,8 @@ def test_a_tolerance_below_the_floor_target_is_the_fit_target(monkeypatch, tiny_
     # it hands on, 0.95, below it: order 6 must fit down to 0.95.
     histories = {5: [5.0, 1.05, 0.9], 6: [0.98, 0.96, 0.94, 0.93]}
     received = _stub_fits(monkeypatch, tiny_symmetric, histories)
-    report = search_optimum(tiny_symmetric, (5, 6), e_floor=1.0)
+    _set_floor_target(monkeypatch, tiny_symmetric, 1.0)
+    report = search_optimum(tiny_symmetric, (5, 6))
     assert [(c.order, c.tolerance) for c in received] == [(5, 1.0), (6, next_tolerance(1.05))]
     assert [(r.order, r.e_min) for r in report.per_order] == [(5, 1.05), (6, 0.94)]
 
@@ -154,7 +174,8 @@ def test_a_tolerance_below_the_floor_target_is_the_fit_target(monkeypatch, tiny_
 def test_the_walk_stops_at_the_floor_target(monkeypatch, tiny_symmetric):
     histories = {5: [5.0, 2.0], 6: [1.5, 0.5], 7: [0.1]}
     received = _stub_fits(monkeypatch, tiny_symmetric, histories)
-    report = search_optimum(tiny_symmetric, (5, 7), e_floor=0.5)
+    _set_floor_target(monkeypatch, tiny_symmetric, 0.5)
+    report = search_optimum(tiny_symmetric, (5, 7))
     assert [c.order for c in received] == [5, 6]
     assert [order for order, _ in report.tolerance_trace] == [5, 6]
     assert report.best_order == 6 and report.best_error == 0.5
@@ -164,7 +185,9 @@ def test_best_fit_is_the_floor_sweeps_snapshot(monkeypatch, tiny_symmetric):
     # The fit runs on to 0.3, but the floor is the halving hit 0.6.
     histories = {5: [9.0, 4.0, 0.6, 0.5, 0.4, 0.3]}
     _stub_fits(monkeypatch, tiny_symmetric, histories)
-    report = search_optimum(tiny_symmetric, (5, 5), initial_tolerance=5.0, e_floor=0.35)
+    monkeypatch.setattr(hullmap.search, "INITIAL_TOLERANCE", 5.0)
+    _set_floor_target(monkeypatch, tiny_symmetric, 0.35)
+    report = search_optimum(tiny_symmetric, (5, 5))
     fit = report.best_fit
     assert (fit.error, fit.error_history, fit.iterations) == (0.6, [9.0, 4.0, 0.6], 3)
     assert fit.converged and not fit.diverged
@@ -192,6 +215,17 @@ def test_search_stops_at_the_floor_on_an_exact_shape():
     assert len(report.per_order) == 1
 
 
+def test_an_aborted_order_does_not_end_a_real_search():
+    # Order 5 loses both leading angles at sweep 25; order 6 fits.
+    sec = heeled_rectangle(37, 3.688, 1.028, 18.64)
+    with pytest.raises(FitAbortError):
+        fit_section(sec, FitConfig(5, 0.0))
+    report = search_optimum(sec, (5, 6))
+    assert report.tolerance_trace == [(5, 10.0), (6, 10.0)]
+    assert [(r.order, r.iterations) for r in report.per_order] == [(6, 19)]
+    assert report.best_error == pytest.approx(3.0727, rel=1e-4)
+
+
 def test_search_report_is_internally_consistent(rectangle41):
     report = search_optimum(rectangle41, order_range=(5, 12))
     errors = [rec.e_min for rec in report.per_order]
@@ -204,6 +238,7 @@ def test_search_report_is_internally_consistent(rectangle41):
     assert all(b <= a for a, b in zip(tolerances, tolerances[1:]))
 
 
-def test_search_fails_when_nothing_converges(rectangle41):
+def test_search_fails_when_nothing_converges(monkeypatch, rectangle41):
+    monkeypatch.setattr(hullmap.search, "INITIAL_TOLERANCE", 1e-30)
     with pytest.raises(SearchFailedError):
-        search_optimum(rectangle41, order_range=(5, 6), initial_tolerance=1e-30)
+        search_optimum(rectangle41, order_range=(5, 6))
