@@ -25,19 +25,25 @@ hullmap is imported from whatever tree is on PYTHONPATH, so running the
 script against two checkouts shows whether a change keeps every trajectory
 bit-identical.  `--dump` also writes each digested trajectory's angles,
 scaled coefficients and errors (or the exception a fit raised) to an .npz
-file, which `scripts/compare_trees.py --diff` reads to say by how much two
-trees differ.  The digest depends on the numpy and BLAS build, so compare
-two trees on one machine; it is not a value to pin in a test.
+file, with its point count, the sweep each error was read off, and what
+the contract of `scripts/compare_trees.py` reads of every sweep of those
+fits (`_sweep_rows`).  `scripts/compare_trees.py --diff` reads the file to
+say by how much two trees differ, and whether within that contract.  The
+digest depends on the numpy and BLAS build, so compare two trees on one
+machine; it is not a value to pin in a test.
 """
 
 import argparse
+import contextlib
 import hashlib
 
 import numpy as np
 
 import hullmap
+import hullmap.search
 from hullmap.errors import HullmapError
-from hullmap.fit import FitConfig, fit_section
+from hullmap.fit import FitConfig, _seed_asymmetric, _seed_symmetric, fit_section
+from hullmap.linsys import assemble_general, assemble_symmetric
 from hullmap.search import min_error_for_order, search_optimum
 from hullmap.shapes import (
     bulb_section,
@@ -47,6 +53,7 @@ from hullmap.shapes import (
     heeled_rectangle,
     rectangle_section,
 )
+from hullmap.theta import _free_normals
 
 SECTIONS = {
     "rectangle41": lambda: rectangle_section(41, breadth=2.0, draft=1.0),
@@ -65,13 +72,73 @@ FLOORS = {"rectangle41": ((5, 6, 12), 10.0), "heeled_rectangle21": ((12, 30), 0.
 
 # A digested trajectory as numbers: "theta" (angles), "fa" (scaled
 # coefficients) and "E" (errors), each flattened in sweep order; a search's
-# E holds its per-order floors, then its best error.
+# E holds its per-order floors, then its best error, and its theta and fa
+# are those of the last.  "points" is the point count, "rows" holds the
+# `_sweep_rows` of every fit the errors were read off, and "entries" names
+# each error's sweep as (fit, sweep number).
 Trajectory = dict[str, np.ndarray]
 
 
 def _raised(exc: HullmapError) -> tuple[bytes, str]:
     message = f"{type(exc).__name__}: {exc}"
     return message.encode(), message
+
+
+def _sweep_rows(section, result, fit: int) -> np.ndarray:
+    """One row per sweep of ``result``, for the contract of `scripts/compare_trees.py`.
+
+    The row is (``fit``, sweep number, order, the infinity-norm condition
+    number of the sweep's coefficient system, its largest |F a_n| / s, and
+    the largest and the sum of s / |r'| over its solved points), s being
+    max(B, D) and r' the slope of a point's angle residual at its angle,
+    for the coefficients the angle was solved for (the seed's on sweep 1).
+    """
+    scale = max(section.breadth, section.draft)
+    order = result.coefficients.order
+    assemble = assemble_symmetric if section.symmetric else assemble_general
+    seed = (_seed_symmetric if section.symmetric else _seed_asymmetric)(section, order)
+    normals = _free_normals(section)
+    free = slice(1, -1) if section.symmetric else slice(None)
+    odd = 2.0 * np.arange(order + 1) - 1.0
+    weights = np.where(np.arange(order + 1) % 2 == 0, 1.0, -1.0) * odd
+    rows = []
+    for k, (thetas, fa) in enumerate(zip(result.theta_history, result.fa_history)):
+        # x(t) = -sum (-1)^n c_n sin(odd t) and y(t) = sum (-1)^n c_n cos(odd t),
+        # so x' = -cos(odd t) @ w and y' = -sin(odd t) @ w for w = (-1)^n odd c_n.
+        w = weights * (result.fa_history[k - 1] if k else seed)
+        angles = np.outer(thetas.theta[free], odd)
+        slope = normals[:, 0] * (np.cos(angles) @ w) - normals[:, 1] * (np.sin(angles) @ w)
+        with np.errstate(divide="ignore"):
+            inverse = scale / np.abs(slope)
+        kappa = np.linalg.cond(assemble(thetas, section, order).matrix, np.inf)
+        size = np.abs(fa).max() / scale
+        rows.append([fit, k + 1, order, kappa, size, inverse.max(), inverse.sum()])
+    return np.array(rows).reshape(-1, 7)
+
+
+def _floor_entry(fit: int, result, error: float) -> tuple[int, int]:
+    """(``fit``, the number of the first reportable sweep of ``result`` with ``error``, or 0)."""
+    for index, (e, fa) in enumerate(zip(result.error_history, result.fa_history)):
+        if e == error and fa[0] > 0.0:
+            return fit, index + 1
+    return fit, 0
+
+
+@contextlib.contextmanager
+def _fits_made():
+    """Collect, by order, every fit that `hullmap.search` makes inside the block."""
+    real = hullmap.search.fit_section
+    fits = {}
+
+    def record(section, config):
+        fits[config.order] = real(section, config)
+        return fits[config.order]
+
+    hullmap.search.fit_section = record
+    try:
+        yield fits
+    finally:
+        hullmap.search.fit_section = real
 
 
 def _fit_bytes(section, order: int) -> tuple[bytes, Trajectory | str]:
@@ -90,13 +157,17 @@ def _fit_bytes(section, order: int) -> tuple[bytes, Trajectory | str]:
         "theta": np.concatenate([sweep.theta for sweep in result.theta_history]),
         "fa": np.concatenate([np.asarray(fa, dtype=float) for fa in result.fa_history]),
         "E": np.asarray(result.error_history, dtype=float),
+        "points": np.array(len(section.points)),
+        "rows": _sweep_rows(section, result, 0),
+        "entries": np.array([(0, k) for k in range(1, result.iterations + 1)]).reshape(-1, 2),
     }
     return b"".join(parts), numbers
 
 
 def _search_bytes(section) -> tuple[bytes, Trajectory | str]:
     try:
-        report = search_optimum(section, SEARCH_ORDERS)
+        with _fits_made() as fits:
+            report = search_optimum(section, SEARCH_ORDERS)
     except HullmapError as exc:
         return _raised(exc)
     records = [(r.order, r.e_min, r.iterations) for r in report.per_order]
@@ -113,16 +184,29 @@ def _search_bytes(section) -> tuple[bytes, Trajectory | str]:
         "theta": fit.thetas.theta,
         "fa": np.asarray(fit.fa_history[-1], dtype=float),
         "E": np.array([r.e_min for r in report.per_order] + [report.best_error]),
+        "points": np.array(len(section.points)),
+        "rows": np.vstack([_sweep_rows(section, fits[r.order], r.order) for r in report.per_order]),
+        "entries": np.array(
+            [_floor_entry(r.order, fits[r.order], r.e_min) for r in report.per_order]
+            + [_floor_entry(report.best_order, fits[report.best_order], report.best_error)]
+        ),
     }
     return b"".join(parts), numbers
 
 
 def _floor_bytes(section, order: int, tolerance: float) -> tuple[bytes, Trajectory | str]:
     try:
-        floor = min_error_for_order(section, order, FitConfig(order, tolerance))
+        with _fits_made() as fits:
+            floor = min_error_for_order(section, order, FitConfig(order, tolerance))
     except HullmapError as exc:
         return _raised(exc)
-    return np.array([floor], dtype=float).tobytes(), {"E": np.array([floor], dtype=float)}
+    numbers = {
+        "E": np.array([floor], dtype=float),
+        "points": np.array(len(section.points)),
+        "rows": _sweep_rows(section, fits[order], 0),
+        "entries": np.array([_floor_entry(0, fits[order], floor)]),
+    }
+    return np.array([floor], dtype=float).tobytes(), numbers
 
 
 def _save(path: str, trajectories: dict[str, tuple[float, Trajectory | str]]) -> None:

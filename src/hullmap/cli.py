@@ -78,7 +78,7 @@ _POW10 = np.array([float(10**k) for k in range(23)])
 
 
 def _twelve_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``float('%.12g' % v)`` of every ``v`` that is zero or of magnitude in [1e-4, 1e11).
+    """``float('%.12g' % v)`` of every ``v`` of magnitude in [1e-4, 1e11).
 
     Returns those doubles, shaped as ``values``, and the mask of the values
     they are given for; elsewhere the doubles mean nothing.  For such a v
@@ -101,8 +101,8 @@ def _twelve_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The double returned, copysign(m / 10**k, v), is the one nearest D (one
     correctly rounded division of exact operands); a doubtful value gets
-    ``float('%.12g' % v)``, which is the same double by definition.  Zeros
-    are returned as they are.  ``_ryu_rows`` relies on both.
+    ``float('%.12g' % v)``, which is the same double by definition.
+    ``_write_csv`` and ``_ryu_rows`` rely on it.
     """
     mag = np.abs(values)
     in_range = (mag >= 1e-4) & (mag < 1e11)
@@ -113,32 +113,27 @@ def _twelve_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     doubt = in_range & ((t - np.floor(t) == 0.5) | (t < 1e11) | (t > 1e12))
     if doubt.any():
         rounded[doubt] = [float("%.12g" % v) for v in values[doubt].tolist()]
-    zero = mag == 0.0
-    rounded[zero] = values[zero]
-    return rounded, in_range | zero
+    return rounded, in_range
 
 
 def _ryu_rows(rows: np.ndarray) -> str:
     """The lines '%.12g,%.12g,%.12g' writes for ``rows``, from ``_twelve_digits``'s doubles.
 
-    Every value of ``rows`` must be zero or the double nearest a decimal D
-    of at most 12 significant digits in [1e-4, 1e11], which '%.12g'
-    writes positionally, without trailing zeros or a bare point.  orjson
-    spells a double with Ryu's shortest digits that round back to it.  Two
-    different decimals of at most 15 significant digits never round to one
-    double (binary64 holds 15 decimal digits), so no decimal other than D
-    with as few digits rounds to D's double: its shortest digits are D's.
-    orjson writes them positionally too, as it does every magnitude in
-    [1e-5, 1e16), except that an integer such as 0, -0 or 100 comes out as
-    ``0.0``, ``-0.0`` or ``100.0``; that ``.0`` is struck.  Rows come out as
-    ``[a,b,c],[d,e,f]`` inside one more pair of brackets; each ``],[``
-    becomes a newline.
+    Every value of ``rows`` must be the double nearest a decimal D of at
+    most 12 significant digits that is not an integer and has magnitude in
+    [1e-4, 1e11), which '%.12g' writes positionally, without trailing
+    zeros.  orjson spells a double with Ryu's shortest digits that round
+    back to it.  Two different decimals of at most 15 significant digits
+    never round to one double (binary64 holds 15 decimal digits), so no
+    decimal other than D with as few digits rounds to D's double: its
+    shortest digits are D's.  orjson writes them positionally too, as it
+    does every magnitude in [1e-5, 1e16); only an integer would gain a
+    ``.0``.  Rows come out as ``[a,b,c],[d,e,f]`` inside one more pair of
+    brackets; each ``],[`` becomes a newline.
     """
     import orjson  # here, so that runs which write no csv never load it
 
     text = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)
-    if (rows == np.trunc(rows)).any():
-        text = text.replace(b".0,", b",").replace(b".0]", b"]")
     return text[2:-2].replace(b"],[", b"\n").decode() + "\n"
 
 
@@ -148,17 +143,21 @@ def _write_csv(path: Path, contour: np.ndarray) -> None:
     The lines are spelled in runs of up to ``_CHUNK`` rows, the pieces the
     JSON report lays a contour out in, so a long contour never sits in
     memory as one string or as many temporary arrays.  Rows whose values
-    are all zero or of magnitude in [1e-4, 1e11) are spelled by orjson from
-    ``_twelve_digits``'s doubles (see ``_ryu_rows`` for why the bytes are
-    the same); every other row (nan, inf, nonzero magnitudes below 1e-4 or
-    from 1e11 up) by one %-operation over its run of such rows.
+    all round to 12 digits as a non-integer D of magnitude in [1e-4, 1e11)
+    are spelled by orjson from ``_twelve_digits``'s doubles (see
+    ``_ryu_rows`` for why the bytes are the same); every other row (an
+    integer D, zeros included, nan, inf, nonzero magnitudes below 1e-4 or
+    from 1e11 up) by one %-operation over its run of such rows.  In a
+    sampled contour the first and the last row are such rows.
     """
     with open(path, "w") as handle:
         handle.write("theta,x,y\n")
         for start in range(0, len(contour), _CHUNK):
             block = contour[start:start + _CHUNK]
             rounded, spelled = _twelve_digits(block)
-            plain = spelled.all(axis=1)
+            # A non-integer D below 1e11 lies at least 0.1 from every integer,
+            # and so does its double.
+            plain = (spelled & (rounded != np.trunc(rounded))).all(axis=1)
             # Each stretch of rows that all take one of the two spellings.
             edges = [0, *(np.flatnonzero(plain[1:] != plain[:-1]) + 1).tolist(), len(block)]
             for lo, hi in zip(edges, edges[1:]):

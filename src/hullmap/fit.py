@@ -161,7 +161,7 @@ def _run_fit(
         # No sweep solved, or none kept a positive leading coefficient: report
         # the seed state at the first sweep's angles.
         diverged = True
-        thetas = assign_thetas(ScaledCoefficients(seed), section, None)
+        thetas = theta_history[0] if theta_history else thetas
         best = (compute_error(section, _mapped(seed, thetas)), seed.copy(), thetas)
     return _fit_result(best, history, fa_history, theta_history, converged, diverged)
 

@@ -98,7 +98,7 @@ def build_report(
 
 
 _INDENT = "  "
-# Arrays and lists are laid out this many rows at a time, so a 10000-point
+# Float64 arrays are laid out this many rows at a time, so a 10000-point
 # contour streams as ten strings of some 120 kB, not one as long as the
 # file.  `cli._write_csv` writes its contour in runs of as many rows.
 _CHUNK = 1024
@@ -137,49 +137,38 @@ def _in_range(values: np.ndarray) -> bool:
     return bool((((mag >= 1e-4) & (mag < 1e16)) | (mag == 0.0)).all())
 
 
-def _number_block(items, depth: int) -> str | None:
-    """The text of ``items`` at ``depth + 1``, joined by their separators, or None.
+def _number_block(values: np.ndarray, depth: int) -> str:
+    """json's text of the float64 ``values`` at ``depth + 1``, joined by their separators.
 
-    A float64 array, passed only when ``_in_range`` holds for it, is
-    spelled by ``_orjson_block``.  Items that are all finite floats, or
-    all non-empty lists or tuples of finite floats, are joined from
-    ``float.__repr__``, json's own spelling of a finite float; for
-    anything else the caller lays the items out one by one.
+    ``_orjson_block`` spells them where ``_in_range`` holds.  Otherwise,
+    where every value is finite, they are joined from ``float.__repr__``,
+    json's own spelling of a finite float; a piece with nan or inf, which
+    json spells its own way, is json's text of its ``tolist()``.
     """
-    if isinstance(items, np.ndarray):
-        return _orjson_block(items, depth)
+    if _in_range(values):
+        return _orjson_block(values, depth)
+    if not np.isfinite(values).all():
+        # Drop the brackets, "[" + newline + indent and newline + "]".
+        return json.dumps(values.tolist(), indent=2)[4:-2].replace("\n", "\n" + _INDENT * depth)
     inner = "\n" + _INDENT * (depth + 1)
-    try:
-        if all(type(item) in (list, tuple) and item for item in items):
-            leaf = inner + _INDENT
-            rows_text = f"{inner}],{inner}[{leaf}".join(
-                f",{leaf}".join(map(float.__repr__, row)) for row in items
-            )
-            text = f"[{leaf}{rows_text}{inner}]"
-        else:
-            text = f",{inner}".join(map(float.__repr__, items))
-    except TypeError:  # an item that is not a float (ints and bools included)
-        return None
-    # Finite reprs hold only digits, '.', 'e' and signs; 'nan' and 'inf' need
-    # json's spelling, so such items go one by one.
-    return None if "n" in text else text
+    if values.ndim == 1:
+        return f",{inner}".join(map(float.__repr__, values.tolist()))
+    leaf = inner + _INDENT
+    rows_text = f"{inner}],{inner}[{leaf}".join(
+        f",{leaf}".join(map(float.__repr__, row)) for row in values.tolist()
+    )
+    return f"[{leaf}{rows_text}{inner}]"
 
 
 def report_pieces(value, depth: int = 0) -> Iterator[str]:
     """Yield the text of ``json.dumps(value, indent=2, sort_keys=True)`` in pieces.
 
-    Runs of floats, and of rows of them, are joined in pieces of up to
-    ``_CHUNK`` rows; every other scalar, and any dict with a non-string
-    key, is spelled by ``json.dumps`` itself.  ``depth`` is the nesting
-    level ``value`` sits at.  A numpy array is written as its ``tolist()``
-    would be.
-
-    One rule picks the spelling of a piece: a piece of a non-empty 1-D or
-    2-D C-contiguous float64 array for which ``_in_range`` holds is
-    spelled by orjson (``_orjson_block`` shows that its text is json's);
-    every other float is spelled by ``float.__repr__``, as json does.  A
-    piece that fails ``_in_range`` goes through its ``tolist()`` as a list
-    would, and every other array through its ``tolist()`` whole.
+    A non-empty 1-D or 2-D C-contiguous float64 array is written in
+    pieces of up to ``_CHUNK`` rows, each spelled by ``_number_block``;
+    every other array goes through its ``tolist()`` whole.  Lists and
+    tuples are laid out item by item, and every other scalar, and any
+    dict with a non-string key, is spelled by ``json.dumps`` itself.
+    ``depth`` is the nesting level ``value`` sits at.
     """
     if isinstance(value, np.ndarray) and not (
         type(value) is np.ndarray
@@ -197,21 +186,18 @@ def report_pieces(value, depth: int = 0) -> Iterator[str]:
             yield from report_pieces(value[key], depth + 1)
             separator = "," + inner
         yield "\n" + _INDENT * depth + "}"
-    elif isinstance(value, (list, tuple, np.ndarray)) and len(value):
+    elif isinstance(value, np.ndarray):
         separator = "[" + inner
         for start in range(0, len(value), _CHUNK):
-            chunk = value[start:start + _CHUNK]
-            if isinstance(chunk, np.ndarray) and not _in_range(chunk):
-                chunk = chunk.tolist()
-            block = _number_block(chunk, depth)
-            if block is None:
-                for item in chunk:
-                    yield separator
-                    yield from report_pieces(item, depth + 1)
-                    separator = "," + inner
-            else:
-                yield separator + block
-                separator = "," + inner
+            yield separator + _number_block(value[start:start + _CHUNK], depth)
+            separator = "," + inner
+        yield "\n" + _INDENT * depth + "]"
+    elif isinstance(value, (list, tuple)) and value:
+        separator = "[" + inner
+        for item in value:
+            yield separator
+            yield from report_pieces(item, depth + 1)
+            separator = "," + inner
         yield "\n" + _INDENT * depth + "]"
     else:
         # json.dumps escapes every newline inside strings, so each raw one

@@ -8,7 +8,9 @@ sweep that beats half the error at the current floor, at most
 `MAX_TIGHTENING_ROUNDS` times.  That is the outcome of halving the target
 and refitting until the fit can no longer follow, since every refit from the
 deterministic seed retraces the same sweeps and each halving's first hit
-lies after the previous one.  An order without a gate, which includes one
+lies after the previous one.  Only sweeps the fit can report count: one
+whose leading scaled coefficient is not positive has a flipped contour, and
+`_floor_sweep` passes it over.  An order without a gate, which includes one
 whose fit solved no sweep or lost its anchor points, leaves the tolerance
 unchanged; an accepted order hands the next one a tolerance derived from its
 floor (subtract 0.1 above 0.1, otherwise divide by 10).
@@ -16,6 +18,7 @@ floor (subtract 0.1 above 0.1, otherwise divide by 10).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -69,6 +72,17 @@ def _floor_index(history: list[float], tolerance: float) -> int | None:
     return index
 
 
+def _floor_sweep(result: FitResult, tolerance: float) -> int | None:
+    """`_floor_index` of the fit's history, read as if each sweep it cannot report never ran.
+
+    A sweep whose leading scaled coefficient F a_0 is not positive flips
+    the contour, so the fit never reports it; it counts as an infinite error,
+    which no tolerance gates and no floor moves to.
+    """
+    history = zip(result.error_history, result.fa_history)
+    return _floor_index([e if fa[0] > 0.0 else math.inf for e, fa in history], tolerance)
+
+
 def min_error_for_order(section: SectionOffsets, order: int, config: FitConfig) -> float:
     """Floor error reachable at ``order`` once the fit passes ``config.tolerance``.
 
@@ -78,7 +92,7 @@ def min_error_for_order(section: SectionOffsets, order: int, config: FitConfig) 
     if config.order != order:
         raise ConfigurationError(f"order {order} disagrees with config.order {config.order}")
     result = fit_section(section, FitConfig(order, 0.0, config.max_iterations))
-    index = _floor_index(result.error_history, config.tolerance)
+    index = _floor_sweep(result, config.tolerance)
     return result.error if index is None else result.error_history[index]
 
 
@@ -89,7 +103,9 @@ def search_optimum(section: SectionOffsets, order_range: tuple[int, int] = (5, 1
     also the smallest seen because tolerances only tighten.  An order whose
     fit solved no sweep or lost its anchor has no gate.  The search stops
     early once a floor error reaches `FLOOR_SCALE` times the squared section
-    scale.
+    scale.  A search that accepts no order fails with a message that counts
+    the orders that solved no system, lost their anchor, or had no
+    reportable sweep under the tolerance.
     """
     scale = max(section.breadth, section.draft)
     floor_target = FLOOR_SCALE * scale * scale
@@ -97,6 +113,11 @@ def search_optimum(section: SectionOffsets, order_range: tuple[int, int] = (5, 1
     trace: list[tuple[int, float]] = []
     records: list[SearchRecord] = []
     floor_sweep: tuple[FitResult, int] | None = None
+    # Why each order without a gate had none, as its count.
+    no_system, no_anchor, no_sweep = (
+        "solved no system", "lost their anchor", "had no reportable sweep under the tolerance"
+    )
+    missed = dict.fromkeys((no_system, no_anchor, no_sweep), 0)
     for order in range(order_range[0], order_range[1] + 1):
         trace.append((order, tolerance))
         started = time.perf_counter()
@@ -105,10 +126,12 @@ def search_optimum(section: SectionOffsets, order_range: tuple[int, int] = (5, 1
         try:
             result = fit_section(section, FitConfig(order, min(tolerance, floor_target)))
         except FitAbortError:
+            missed[no_anchor] += 1
             continue
         elapsed = time.perf_counter() - started
-        index = _floor_index(result.error_history, tolerance)
+        index = _floor_sweep(result, tolerance)
         if index is None:
+            missed[no_sweep if result.error_history else no_system] += 1
             continue
         floor = result.error_history[index]
         records.append(SearchRecord(order, floor, result.iterations, elapsed))
@@ -117,8 +140,9 @@ def search_optimum(section: SectionOffsets, order_range: tuple[int, int] = (5, 1
             break
         tolerance = next_tolerance(floor)
     if floor_sweep is None:
+        reasons = ", ".join(f"{count} {reason}" for reason, count in missed.items())
         raise SearchFailedError(
-            f"no order in {order_range} converged at tolerance {INITIAL_TOLERANCE}"
+            f"no order in {order_range} converged at tolerance {INITIAL_TOLERANCE}: {reasons}"
         )
     result, index = floor_sweep
     end = index + 1

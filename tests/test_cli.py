@@ -135,7 +135,9 @@ def test_the_csv_equals_a_per_row_format(rows, run):
 
 def test_an_evaluated_contour_is_spelled_by_orjson_to_the_waterline(tmp_path, monkeypatch):
     # A stand-in orjson.dumps that writes every 9 as 8: the file shows its
-    # text only in rows that took the fast path, which is all of them.
+    # text only in rows that took the fast path, which is every row that
+    # holds no integer: all but the keel's (theta = 0) and the waterline's
+    # (y = 0).
     real = orjson.dumps
     rows_spelled = []
 
@@ -150,8 +152,32 @@ def test_an_evaluated_contour_is_spelled_by_orjson_to_the_waterline(tmp_path, mo
     assert y[-1] == 0.0
     path = tmp_path / "c.csv"
     cli_mod._write_csv(path, contour)
-    assert sum(rows_spelled) == 10000
-    assert path.read_text() == _formatted_rows(theta, x, y).replace("9", "8")
+    integer = [any(float("%.12g" % v).is_integer() for v in row) for row in contour.tolist()]
+    assert sum(rows_spelled) == integer.count(False) == 9998
+    expected = _formatted_rows(theta, x, y).splitlines(keepends=True)
+    lines = [line if whole else line.replace("9", "8") for line, whole in zip(expected[1:], integer)]
+    assert path.read_text() == expected[0] + "".join(lines)
+
+
+def test_rows_holding_an_integer_are_spelled_by_format(tmp_path, monkeypatch):
+    # 2.0000000000001 rounds to 12 digits as 2, so '%.12g' writes "2";
+    # orjson would write "1.0", "-0.0" and "100.0" for the others.
+    real = cli_mod._ryu_rows
+
+    def checked(rows):
+        assert not (rows == np.trunc(rows)).any(), rows
+        return real(rows)
+
+    monkeypatch.setattr(cli_mod, "_ryu_rows", checked)
+    plain = np.linspace(0.1, 0.9, 24).reshape(8, 3)
+    specials = [[0.25, 1.0, 0.5], [-0.0, 0.3, 0.7], [0.4, 0.6, 100.0], [2.0000000000001, 0.2, 0.8]]
+    contour = np.vstack([plain[:2], specials[:2], plain[2:5], specials[2:], plain[5:]])
+    path = tmp_path / "c.csv"
+    cli_mod._write_csv(path, contour)
+    text = path.read_text()
+    assert text == _formatted_rows(*contour.T)
+    assert "\n0.25,1,0.5\n-0,0.3,0.7\n" in text
+    assert "\n0.4,0.6,100\n2,0.2,0.8\n" in text
 
 
 def test_an_evaluated_contour_reaches_the_report_in_orjson_pieces(tmp_path, monkeypatch):
@@ -576,7 +602,10 @@ def test_a_search_whose_fits_solve_nothing_exits_five(tmp_path, capsys):
     path.write_text(serialize_offsets(from_points([(0.0, 1.0), (0.7, 0.6), (1.0, 0.0)], symmetric=True)))
     assert run("fit", "--input", path, "--n", "5", "--out", tmp_path) == 4
     assert run("search", "--input", path, "--out", tmp_path) == 5
-    assert "search: no order in (5, 100) converged" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(
+        "search: no order in (5, 100) converged at tolerance 10.0: 96 solved no system, "
+        "0 lost their anchor, 0 had no reportable sweep under the tolerance\n"
+    )
 
 
 def test_diverged_fit_exits_four(rect_file, tmp_path, monkeypatch, capsys):

@@ -108,12 +108,13 @@ def test_min_error_for_order_rejects_a_config_of_another_order(rectangle41):
         min_error_for_order(rectangle41, 6, FitConfig(5, 10.0))
 
 
-def _stub_fits(monkeypatch, section, histories):
+def _stub_fits(monkeypatch, section, histories, flipped=()):
     """Fit each order by replaying its made-up error history; returns the configs received.
 
-    Like the fit, the stub stops at the first sweep under its tolerance.
-    Sweep k's coefficients are (1 + k, 0) and its angles are all 0.01 k.  An
-    order whose history is None aborts.
+    Like the fit, the stub stops at the first reportable sweep under its
+    tolerance.  Sweep k's coefficients are (1 + k, 0), or (-1 - k, 0) where
+    (order, k) is in ``flipped``, and its angles are all 0.01 k.  An order
+    whose history is None aborts.
     """
     received: list[FitConfig] = []
 
@@ -123,9 +124,11 @@ def _stub_fits(monkeypatch, section, histories):
         history = histories[config.order]
         if history is None:
             raise FitAbortError("first two points have no projected angle")
-        stop = next((k + 1 for k, e in enumerate(history) if e < config.tolerance), len(history))
+        kept = [k for k, e in enumerate(history) if e < config.tolerance and (config.order, k) not in flipped]
+        stop = kept[0] + 1 if kept else len(history)
         errors = history[:stop]
-        fas = [np.array([1.0 + k, 0.0]) for k in range(stop)]
+        signs = [-1.0 if (config.order, k) in flipped else 1.0 for k in range(stop)]
+        fas = [np.array([sign * (1.0 + k), 0.0]) for k, sign in enumerate(signs)]
         angles = [ThetaAssignment(np.full(len(sec.points), 0.01 * k), ()) for k in range(stop)]
         converged = errors[-1] < config.tolerance
         return _fit_result((errors[-1], fas[-1], angles[-1]), errors, fas, angles, converged, False)
@@ -200,10 +203,40 @@ def test_best_fit_is_the_floor_sweeps_snapshot(monkeypatch, tiny_symmetric):
 
 
 def test_a_search_that_accepts_no_order_fails(monkeypatch, tiny_symmetric):
-    received = _stub_fits(monkeypatch, tiny_symmetric, {5: [20.0, 11.0], 6: [10.0]})
-    with pytest.raises(SearchFailedError):
-        search_optimum(tiny_symmetric, (5, 6))
-    assert [c.order for c in received] == [5, 6]
+    received = _stub_fits(monkeypatch, tiny_symmetric, {5: [20.0, 11.0], 6: [10.0], 7: None})
+    with pytest.raises(SearchFailedError) as caught:
+        search_optimum(tiny_symmetric, (5, 7))
+    assert [c.order for c in received] == [5, 6, 7]
+    assert str(caught.value) == (
+        "no order in (5, 7) converged at tolerance 10.0: 0 solved no system, "
+        "1 lost their anchor, 2 had no reportable sweep under the tolerance"
+    )
+
+
+def test_the_search_passes_over_sweeps_with_a_flipped_contour(monkeypatch, tiny_symmetric):
+    # Order 5's one sweep under 10 flips the contour, so order 5 has no
+    # gate.  Order 6 gates at 8.0; its flipped 3.5 would be the floor, and
+    # the floor moves to 2.0 instead.
+    histories = {5: [20.0, 3.0, 12.0], 6: [8.0, 3.5, 2.0, 1.9]}
+    _stub_fits(monkeypatch, tiny_symmetric, histories, flipped={(5, 1), (6, 1)})
+    report = search_optimum(tiny_symmetric, (5, 6))
+    assert report.tolerance_trace == [(5, 10.0), (6, 10.0)]
+    assert [(r.order, r.e_min, r.iterations) for r in report.per_order] == [(6, 2.0, 4)]
+    assert report.best_fit.error_history == [8.0, 3.5, 2.0]
+    assert report.best_fit.coefficients.scale == 3.0
+
+
+def test_a_search_whose_only_gate_is_a_flipped_sweep_fails():
+    # Perfbench station 71: at N = 8 the fit's only sweeps under 10 have
+    # F a_0 <= 0; the search used to build a report from one and raise
+    # ValueError, and the floor was that sweep's error.
+    sec = heeled_rectangle(80, breadth=1.69, draft=1.596, heel_deg=8.91)
+    fit = fit_section(sec, FitConfig(8, 0.0))
+    under = [fa[0] for e, fa in zip(fit.error_history, fit.fa_history) if e < 10.0]
+    assert under and max(under) <= 0.0
+    with pytest.raises(SearchFailedError, match="1 had no reportable sweep under the tolerance"):
+        search_optimum(sec, (8, 8))
+    assert min_error_for_order(sec, 8, FitConfig(8, 10.0)) == fit.error > 10.0
 
 
 def test_search_stops_at_the_floor_on_an_exact_shape():
