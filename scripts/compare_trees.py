@@ -7,8 +7,9 @@ this tree's `scripts/trajectory_digest.py` and `scripts/cli_digest.py` once
 with REF's `src/` on PYTHONPATH and once with this tree's, and prints every
 digest line with `same` or `DIFFERS`, then the number of lines of
 `src/**/*.py` that hold code (blank lines, comments and docstrings left
-out) in REF and here.  Exits 1 if any digest line differs; the line count
-does not change the exit status.  The temporary directory is removed
+out) in REF and here, and under it the same counts for each module whose
+count changed.  Exits 1 if any digest line differs; the line counts do
+not change the exit status.  The temporary directory is removed
 afterwards.
 
 With --diff it prints, instead of the digests, one line per trajectory
@@ -114,9 +115,9 @@ def _digests(script: str, src: Path) -> list[str]:
     return done.stdout.splitlines()
 
 
-def _code_lines(src: Path) -> int:
-    """Lines of ``src/**/*.py`` holding a token other than a comment or a docstring."""
-    total = 0
+def _code_lines(src: Path) -> dict[str, int]:
+    """Per module of ``src/**/*.py``, its lines holding code: not comments or docstrings."""
+    counts = {}
     for path in sorted(src.rglob("*.py")):
         text = path.read_text()
         docstrings = set()
@@ -130,8 +131,8 @@ def _code_lines(src: Path) -> int:
         for token in tokenize.generate_tokens(io.StringIO(text).readline):
             if token.type not in _NOT_CODE and token.start not in docstrings:
                 lines.update(range(token.start[0], token.end[0] + 1))
-        total += len(lines)
-    return total
+        counts[path.relative_to(src).as_posix()] = len(lines)
+    return counts
 
 
 # What --diff measures per trajectory: (key in the dump, name printed).
@@ -303,7 +304,12 @@ def main() -> int:
                     differs = True
                     print(f"DIFFERS {script}:{number} {args.ref} {old} here {new}")
         theirs, ours = _code_lines(Path(tmp) / "src"), _code_lines(ROOT / "src")
-    print(f"src code lines: {args.ref} {theirs} here {ours} ({ours - theirs:+d})")
+    total = sum(theirs.values()), sum(ours.values())
+    print(f"src code lines: {args.ref} {total[0]} here {total[1]} ({total[1] - total[0]:+d})")
+    for module in sorted({*theirs, *ours}):
+        old, new = theirs.get(module, 0), ours.get(module, 0)
+        if old != new:
+            print(f"  {module}: {args.ref} {old} here {new} ({new - old:+d})")
     return 1 if differs else 0
 
 

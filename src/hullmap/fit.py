@@ -133,20 +133,21 @@ def _run_fit(
     for _ in range(budget):
         thetas = assign_thetas(ScaledCoefficients(fa), section, prev)
         try:
+            # A fresh read-only array, which the histories and best keep as is.
             solved = lu_solve(assemble(thetas, section, config.order)).values
         except SingularSystemError:
             diverged = True
             break
         error = compute_error(section, _mapped(solved, thetas))
         history.append(error)
-        fa_history.append(solved.copy())
+        fa_history.append(solved)
         theta_history.append(thetas)
         # A sweep with a nonpositive leading coefficient flips the contour's
         # orientation; it may still recover, but it cannot be reported.  A
         # sweep under the tolerance is the best one: any earlier positive
         # sweep under it would have stopped the fit.
         if solved[0] > 0.0 and (best is None or error < best[0]):
-            best = (error, solved.copy(), thetas)
+            best = (error, solved, thetas)
         if solved[0] > 0.0 and error < config.tolerance:
             converged = True
             break

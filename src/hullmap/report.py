@@ -163,21 +163,15 @@ def _number_block(values: np.ndarray, depth: int) -> str:
 def report_pieces(value, depth: int = 0) -> Iterator[str]:
     """Yield the text of ``json.dumps(value, indent=2, sort_keys=True)`` in pieces.
 
-    A non-empty 1-D or 2-D C-contiguous float64 array is written in
-    pieces of up to ``_CHUNK`` rows, each spelled by ``_number_block``;
-    every other array goes through its ``tolist()`` whole.  Lists and
-    tuples are laid out item by item, and every other scalar, and any
-    dict with a non-string key, is spelled by ``json.dumps`` itself.
-    ``depth`` is the nesting level ``value`` sits at.
+    numpy arrays are written as their ``tolist()`` would be.  Two kinds of
+    value are laid out here: a non-empty dict with string keys, key by
+    key, and a non-empty 1-D or 2-D C-contiguous float64 array, in pieces
+    of up to ``_CHUNK`` rows, each spelled by ``_number_block``.  Every
+    other value (lists, tuples, scalars, empty containers, other arrays and
+    dicts with a non-string key) is one ``json.dumps`` of it, which raises
+    ``TypeError`` for what it cannot spell.  ``depth`` is the nesting
+    level ``value`` sits at.
     """
-    if isinstance(value, np.ndarray) and not (
-        type(value) is np.ndarray
-        and value.dtype == np.float64
-        and value.ndim in (1, 2)
-        and value.size
-        and value.flags.c_contiguous
-    ):
-        value = value.tolist()
     inner = "\n" + _INDENT * (depth + 1)
     if isinstance(value, dict) and value and all(type(key) is str for key in value):
         separator = "{" + inner
@@ -186,23 +180,18 @@ def report_pieces(value, depth: int = 0) -> Iterator[str]:
             yield from report_pieces(value[key], depth + 1)
             separator = "," + inner
         yield "\n" + _INDENT * depth + "}"
-    elif isinstance(value, np.ndarray):
+    elif (type(value) is np.ndarray and value.dtype == np.float64 and value.ndim in (1, 2)
+          and value.size and value.flags.c_contiguous):
         separator = "[" + inner
         for start in range(0, len(value), _CHUNK):
             yield separator + _number_block(value[start:start + _CHUNK], depth)
             separator = "," + inner
         yield "\n" + _INDENT * depth + "]"
-    elif isinstance(value, (list, tuple)) and value:
-        separator = "[" + inner
-        for item in value:
-            yield separator
-            yield from report_pieces(item, depth + 1)
-            separator = "," + inner
-        yield "\n" + _INDENT * depth + "]"
     else:
         # json.dumps escapes every newline inside strings, so each raw one
         # starts a line that must move in by this value's depth.
-        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + _INDENT * depth)
+        text = json.dumps(value, indent=2, sort_keys=True, default=np.ndarray.tolist)
+        yield text.replace("\n", "\n" + _INDENT * depth)
 
 
 def write_report(path: Path, report: dict) -> None:

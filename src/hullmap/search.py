@@ -50,7 +50,7 @@ class SearchReport:
 
 def next_tolerance(e_min: float) -> float:
     """Tolerance handed to the next order after a floor error of ``e_min``."""
-    if e_min > 0.1 and e_min - 0.1 > 0.0:
+    if e_min > 0.1:
         return e_min - 0.1
     return e_min / 10.0
 

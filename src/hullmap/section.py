@@ -76,6 +76,16 @@ def section_extents(points: np.ndarray, symmetric: bool) -> tuple[float, float, 
     extent = 2.0 * max(breadth, draft)
     if not np.isfinite(len(pts) * extent * extent):
         raise DegenerateSectionError("breadth or draft too large: n (2 max(B, D))^2 overflows")
+    # The Lewis seed of a half of half-breadth h divides by 2 h D and by
+    # 1 + lam, lam = (h/D - 1) / (h/D + 1).  Below the normal range 2 h D
+    # loses its digits or rounds to 0; lam rounds to -1 once h/D <= 2**-54
+    # and is nan once h/D overflows.
+    for half in (left, right):
+        if not 2.0 * half * draft >= np.finfo(float).tiny:
+            raise DegenerateSectionError("breadth or draft too small: 2 h D underflows")
+        ratio = half / draft
+        if not (ratio - 1.0) / (ratio + 1.0) > -1.0:
+            raise DegenerateSectionError("half-breadth to draft ratio out of range")
     return breadth, draft, left, right
 
 

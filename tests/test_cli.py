@@ -397,6 +397,45 @@ def test_a_section_whose_squared_scale_overflows_exits_three(tmp_path, monkeypat
     assert err.startswith("parse: ") and "too large" in err
 
 
+_ELLIPSE21 = ellipse_section(21, 4.0, 1.0).points
+_TOO_SMALL = "parse: breadth or draft too small: 2 h D underflows\n"
+_BAD_RATIO = "parse: half-breadth to draft ratio out of range\n"
+
+
+@pytest.mark.parametrize(
+    "header, points, message",
+    [
+        # B D underflows to 0, and the seed divides by it.
+        ("symmetric", _ELLIPSE21 * 1e-170, _TOO_SMALL),
+        # B D is subnormal, and every squared error underflows to 0.
+        ("symmetric", _ELLIPSE21 * 1e-160, _TOO_SMALL),
+        # B D is normal, but the port half's 2 h D underflows to 0.
+        ("asymmetric", [[-1e-174, 0.0], [-1e-174, 5e-159], [0.0, 1e-158], [5e-150, 5e-159],
+                        [1e-149, 0.0]], _TOO_SMALL),
+        # h/D is 2e-17, so lam rounds to -1 and the seed divides by 1 + lam.
+        ("symmetric", _ELLIPSE21 * [1e-17, 1.0], _BAD_RATIO),
+        # The same for the port half alone; the whole section seeds.
+        ("asymmetric", [[-1e-17, 0.0], [-1e-17, 0.5], [0.0, 1.0], [0.5, 0.6], [1.0, 0.0]],
+         _BAD_RATIO),
+        # h/D overflows, so lam is nan.
+        ("symmetric", [[0.0, 1e-160], [5e149, 5e-161], [1e150, 0.0]], _BAD_RATIO),
+    ],
+    ids=["bd-zero", "bd-subnormal", "half-bd-zero", "ratio-tiny", "half-ratio-tiny",
+         "ratio-overflows"],
+)
+@pytest.mark.parametrize("mode", ["fit", "search", "lewis"])
+def test_a_section_the_lewis_seed_cannot_divide_by_exits_three(
+    tmp_path, monkeypatch, capsys, header, points, message, mode
+):
+    monkeypatch.setattr(cli_mod, "fit_section", lambda *args: pytest.fail("fit ran"))
+    monkeypatch.setattr(cli_mod, "search_optimum", lambda *args: pytest.fail("search ran"))
+    tiny = tmp_path / "tiny.txt"
+    tiny.write_text(header + "\n" + "".join(f"{x!r},{y!r}\n" for x, y in np.array(points).tolist()))
+    extra = ["--n", "3"] if mode == "fit" else []
+    assert run(mode, "--input", tiny, *extra, "--out", tmp_path) == 3
+    assert capsys.readouterr().err == message
+
+
 @pytest.mark.parametrize(
     "text",
     ["symmetric\n0,1\nnan,0.5\n1,0\n", "asymmetric\n-1,0\nnan,1\n1,0\n"],

@@ -307,3 +307,23 @@ def test_write_report_ends_the_text_with_a_newline(tmp_path):
     path = tmp_path / "report.json"
     write_report(path, report)
     assert path.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_a_list_of_rows_is_one_piece():
+    rows = [{"N": n, "E_min": 1.0 / n, "iterations": n, "seconds": 0.0} for n in range(5, 55)]
+    pieces = list(report_pieces({"per_N": rows}))
+    assert pieces == [
+        '{\n  "per_N": ',
+        json.dumps(rows, indent=2, sort_keys=True).replace("\n", "\n  "),
+        "\n}",
+    ]
+
+
+@pytest.mark.parametrize("value", [object(), 1j, {1, 2}, np.int64(1), [0.5, np.float32(0.5)]],
+                         ids=["object", "complex", "set", "int64", "float32-in-list"])
+def test_what_json_cannot_spell_raises_type_error(value):
+    for payload in ({"v": value}, {"v": [{"w": value}]}):
+        with pytest.raises(TypeError):
+            json.dumps(payload, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            "".join(report_pieces(payload))

@@ -15,6 +15,8 @@ from hullmap.errors import (
     OffsetsParseError,
     SectionValidationError,
 )
+from hullmap.fit import _seed_asymmetric, _seed_symmetric
+from hullmap.mapping import lewis_initial_guess
 from hullmap.section import (
     from_points,
     full_area,
@@ -188,6 +190,13 @@ def test_a_section_scaled_by_1e150_parses():
     assert np.isfinite(full_area(sec))
 
 
+def test_a_section_scaled_by_1e_minus_150_parses():
+    # B D is 4e-300, a normal float; scaled by 1e-160 it would be subnormal.
+    points = ellipse_section(21, 4.0, 1.0).points * 1e-150
+    sec = parse_offsets(serialize_offsets(from_points(points, symmetric=True)))
+    assert sec.breadth * sec.draft == pytest.approx(4e-300)
+
+
 _BASE_ROWS = {
     "symmetric": [(0.0, 1.0), (0.8, 0.9), (1.0, 0.5), (1.0, 0.0)],
     "asymmetric": [(-1.0, 0.0), (-0.7, 0.8), (0.1, 1.1), (0.8, 0.7), (1.1, 0.0)],
@@ -221,6 +230,21 @@ def test_any_text_parses_to_finite_geometry_or_raises(text):
     assert np.all(np.isfinite(sec.points))
     for extent in (sec.breadth, sec.draft, sec.half_breadth_left, sec.half_breadth_right):
         assert np.isfinite(extent) and extent > 0.0
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(sorted(_BASE_ROWS)), st.integers(-330, 310), st.integers(-330, 310))
+def test_every_section_that_parses_can_be_seeded(header, x_exponent, y_exponent):
+    with np.errstate(all="ignore"):
+        points = np.array(_BASE_ROWS[header]) * [float(f"1e{x_exponent}"), float(f"1e{y_exponent}")]
+    try:
+        sec = from_points(points, symmetric=header == "symmetric")
+    except HullmapError:
+        return
+    # The CLI's seed of the whole section, and the fit's of each half.
+    lewis_initial_guess(sec.breadth, sec.draft, full_area(sec))
+    seed = (_seed_symmetric if sec.symmetric else _seed_asymmetric)(sec, 4)
+    assert np.all(np.isfinite(seed)) and seed[0] > 0.0
 
 
 _COORDINATES = st.floats(allow_nan=False, allow_infinity=False)
