@@ -24,6 +24,10 @@ difference over all trajectories.  A fit that raised on either side is
 compared by its exception text.  It exits 1 if any trajectory is
 `OUTSIDE`, which includes an outcome only one side had: a trajectory, an
 exception, or a sweep or a search's accepted order below the rank cap.
+A trajectory whose sweep counts differ is `OUTSIDE` (`within` above the
+cap) without bounds; its line gives the two error counts and the largest
+|dtheta|, |d(F a_n)| / max(B, D) and |dE| / |E| over the sweeps both
+sides ran (for a search, over the leading per-order entries both have).
 
 The contract (ROADMAP item 2(a)).  It bounds how far two correct trees may
 differ on a digested fit at order N on p points, sweep by sweep.  It is
@@ -205,32 +209,48 @@ def _bounds(data: dict, scale: float) -> dict[str, np.ndarray]:
     return {key: np.array(values) for key, values in out.items()}
 
 
+def _row_gaps(old: dict, new: dict, key: str, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """(largest difference per row, the size it is shown over) of one measure, over the rows both sides have.
+
+    A row is one sweep; a search keeps the angles and coefficients of its
+    last fit only.  Coefficients are measured over ``scale``; dE is shown
+    over |E| at REF.
+    """
+    width = {"theta": int(old["points"]), "fa": int(old["rows"][-1, 2]) + 1, "E": 1}[key]
+    rows = min(len(old[key]), len(new[key])) // width
+    gap = _gaps(old[key][:rows * width], new[key][:rows * width]).reshape(-1, width).max(axis=1, initial=0.0)
+    size = np.abs(old["E"][:rows]) if key == "E" else 1.0
+    return (gap / scale if key == "fa" else gap), size
+
+
+def _shown(gap: np.ndarray, size) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(gap == 0.0, 0.0, gap / size)
+
+
 def _judge(old: dict, new: dict, scale: float) -> tuple[str, dict, str]:
     """(mark, name -> (largest difference, its bound where nearest), note) of one trajectory."""
     points = int(old["points"])
     above = (old["rows"][:, 2] > points - 1).any()
     note = f"N above the rank cap {points - 1}: not bounded" if above else ""
-    if any(old[key].shape != new[key].shape for key in ("E", "theta", "fa") if key in old):
+    measures = [(key, name) for key, name in _MEASURES if key in old]
+    if any(old[key].shape != new[key].shape for key, _ in measures):
         counts = f"{len(old['E'])} errors at REF, {len(new['E'])} here"
-        return ("within" if above else "OUTSIDE"), {}, "; ".join(filter(None, (note, counts)))
+        largest = (f"{name} {_shown(*_row_gaps(old, new, key, scale)).max(initial=0.0):.3g}"
+                   for key, name in measures)
+        common = "common sweeps: " + " ".join(largest)
+        return ("within" if above else "OUTSIDE"), {}, "; ".join(filter(None, (note, counts, common)))
     bounds = _bounds(old, scale)
     found, inside = {}, True
-    for key, name in _MEASURES:
-        if key not in old:
-            continue
-        # One row per sweep; a search keeps the angles and coefficients of its last only.
-        width = {"theta": points, "fa": int(old["rows"][-1, 2]) + 1, "E": 1}[key]
-        gap = _gaps(old[key], new[key]).reshape(-1, width).max(axis=1, initial=0.0)
-        gap = gap / scale if key == "fa" else gap
+    for key, name in measures:
+        gap, size = _row_gaps(old, new, key, scale)
         bound = bounds[key][len(bounds[key]) - len(gap):]
         inside &= bool((gap <= bound).all())
-        # dE is judged whole and shown over |E|.
-        size = np.abs(old["E"]) if key == "E" else 1.0
+        # dE is judged whole.
         with np.errstate(divide="ignore", invalid="ignore"):
             nearest = int(np.argmax(np.nan_to_num(gap / bound)))
-            shown = np.where(gap == 0.0, 0.0, gap / size)
             limit = np.broadcast_to(bound / size, bound.shape)
-        found[name] = (float(shown.max()), float(limit[nearest]))
+        found[name] = (float(_shown(gap, size).max()), float(limit[nearest]))
     moved = any(largest for largest, _ in found.values())
     return ("within" if inside else "OUTSIDE") if moved else "same", found, note
 

@@ -54,10 +54,9 @@ def run_heeled(out_dir):
         started = time.perf_counter()
         result = fit_section(section, FitConfig(order, 0.2))
         elapsed = time.perf_counter() - started
-        state = "converged" if result.converged else "stopped"
         print(
             f"{'heeled_rectangle':18s} N={order:3d}  E    ={result.error:11.4e}  "
-            f"{state} after {result.iterations} sweeps  {elapsed:6.1f}s"
+            f"{result.iterations} sweeps ({result.stop_reason})  {elapsed:6.1f}s"
         )
         if out_dir is not None:
             ex, ey = nash_sutcliffe(section.points, result.mapped_points)

@@ -3,9 +3,22 @@
 One sweep assigns an angle to every point from the current coefficients, then
 solves the linear system for fresh coefficients at those angles.  The fit
 error is the summed squared distance between input points and their mapped
-partners.  Sweeps repeat from a Lewis-form seed until the error drops under
-the configured tolerance, the sweep budget runs out, or the error has risen
-for `DIVERGENCE_RUN` sweeps in a row.
+partners.  Sweeps repeat from a Lewis-form seed until one of these ends the
+fit, and `FitResult.stop_reason` names it:
+
+* ``converged``: a reportable sweep's error is under the tolerance;
+* ``rising``: the error has risen for `DIVERGENCE_RUN` sweeps in a row;
+* ``floor``: a reportable sweep's error is exactly 0;
+* ``stalled``: no angle moved by more than `THETA_TOL`, the width to which
+  each angle is solved, since the previous sweep, so further sweeps only
+  jitter within the angle solver's resolution;
+* ``singular``: a sweep's coefficient system could not be solved;
+* ``budget``: the sweep budget ran out.
+
+The sweep that ends the fit is recorded first, except a singular one.  A fit
+with no reportable sweep (none solved, or every solved sweep flipped the
+contour's orientation) reports its seed with ``diverged`` set and keeps the
+stop reason of its loop.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from .mapping import (
     lewis_initial_guess,
 )
 from .section import SectionOffsets, full_area, split_areas
-from .theta import ThetaAssignment, assign_thetas
+from .theta import THETA_TOL, ThetaAssignment, assign_thetas
 
 DEFAULT_SWEEPS_SYMMETRIC = 200
 DEFAULT_SWEEPS_ASYMMETRIC = 300
@@ -51,6 +64,7 @@ class FitResult:
     converged: bool
     diverged: bool
     mapped_points: np.ndarray
+    stop_reason: str
 
 
 def compute_error(section: SectionOffsets, mapped_points: np.ndarray) -> float:
@@ -93,7 +107,7 @@ def _seed_asymmetric(section: SectionOffsets, order: int) -> np.ndarray:
     return 0.5 * (fa_left + fa_right)
 
 
-def _fit_result(best, history, fa_history, theta_history, converged: bool, diverged: bool) -> FitResult:
+def _fit_result(best, history, fa_history, theta_history, stop_reason: str, diverged: bool) -> FitResult:
     """The state ``best`` = (error, scaled coefficients, angles), reported over the histories."""
     error, fa, thetas = best
     return FitResult(
@@ -104,9 +118,10 @@ def _fit_result(best, history, fa_history, theta_history, converged: bool, diver
         fa_history=fa_history,
         theta_history=theta_history,
         iterations=len(history),
-        converged=converged,
+        converged=stop_reason == "converged",
         diverged=diverged,
         mapped_points=_mapped(fa, thetas),
+        stop_reason=stop_reason,
     )
 
 
@@ -127,8 +142,7 @@ def _run_fit(
     theta_history: list[ThetaAssignment] = []
     best: tuple[float, np.ndarray, ThetaAssignment] | None = None
     rising = 0
-    converged = False
-    diverged = False
+    reason = "budget"
 
     for _ in range(budget):
         thetas = assign_thetas(ScaledCoefficients(fa), section, prev)
@@ -136,7 +150,7 @@ def _run_fit(
             # A fresh read-only array, which the histories and best keep as is.
             solved = lu_solve(assemble(thetas, section, config.order)).values
         except SingularSystemError:
-            diverged = True
+            reason = "singular"
             break
         error = compute_error(section, _mapped(solved, thetas))
         history.append(error)
@@ -149,22 +163,27 @@ def _run_fit(
         if solved[0] > 0.0 and (best is None or error < best[0]):
             best = (error, solved, thetas)
         if solved[0] > 0.0 and error < config.tolerance:
-            converged = True
+            reason = "converged"
             break
         rising = rising + 1 if (len(history) >= 2 and error > history[-2]) else 0
         if rising >= DIVERGENCE_RUN:
+            reason = "rising"
             break
         if best is not None and best[0] == 0.0:
+            reason = "floor"
+            break
+        if prev is not None and float(np.max(np.abs(thetas.theta - prev.theta))) <= THETA_TOL:
+            reason = "stalled"
             break
         fa, prev = solved, thetas
 
+    diverged = reason == "singular" or best is None
     if best is None:
         # No sweep solved, or none kept a positive leading coefficient: report
         # the seed state at the first sweep's angles.
-        diverged = True
         thetas = theta_history[0] if theta_history else thetas
         best = (compute_error(section, _mapped(seed, thetas)), seed.copy(), thetas)
-    return _fit_result(best, history, fa_history, theta_history, converged, diverged)
+    return _fit_result(best, history, fa_history, theta_history, reason, diverged)
 
 
 def fit_symmetric(section: SectionOffsets, config: FitConfig) -> FitResult:

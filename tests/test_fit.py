@@ -18,8 +18,8 @@ from hullmap.fit import (
 from hullmap.linsys import assemble_symmetric, lu_solve
 from hullmap.mapping import ScaledCoefficients, breadth_and_draft, lewis_initial_guess
 from hullmap.section import from_points, full_area, mirror_to_full
-from hullmap.shapes import bulb_section, fine_section, heeled_rectangle
-from hullmap.theta import assign_thetas
+from hullmap.shapes import bulb_section, chine_section, fine_section, heeled_rectangle
+from hullmap.theta import THETA_TOL, assign_thetas
 
 
 def test_config_validation(circle41, tiny_asymmetric):
@@ -112,7 +112,7 @@ def test_a_fit_whose_first_system_is_singular_reports_the_seed():
     res = fit_section(sec, FitConfig(order=5, tolerance=1e-6))
     assert (res.error_history, res.fa_history, res.theta_history) == ([], [], [])
     assert res.iterations == 0
-    assert res.diverged and not res.converged
+    assert res.diverged and not res.converged and res.stop_reason == "singular"
     seed = _seed_symmetric(sec, 5)
     thetas = assign_thetas(ScaledCoefficients(seed), sec, None)
     assert np.array_equal(res.thetas.theta, thetas.theta)
@@ -132,7 +132,7 @@ def test_a_singular_system_after_solved_sweeps_keeps_the_best_sweep(monkeypatch,
 
     monkeypatch.setattr(hullmap.fit, "lu_solve", solve_three)
     res = fit_symmetric(rectangle41, FitConfig(6, 0.0))
-    assert res.diverged and not res.converged
+    assert res.diverged and not res.converged and res.stop_reason == "singular"
     assert res.error_history == solved.error_history and res.iterations == 3
     best = int(np.argmin(res.error_history))
     assert res.error == res.error_history[best]
@@ -145,12 +145,48 @@ def test_a_fit_that_never_keeps_a_positive_anchor_reports_the_seed(monkeypatch, 
     monkeypatch.setattr(hullmap.fit, "lu_solve", lambda system: ScaledCoefficients(-real(system).values))
     res = fit_symmetric(rectangle41, FitConfig(order=6, tolerance=1e3, max_iterations=3))
     assert all(fa[0] < 0.0 for fa in res.fa_history) and res.iterations == 3
-    assert res.diverged and not res.converged
+    # The fallback keeps the stop reason of its loop.
+    assert res.diverged and not res.converged and res.stop_reason == "budget"
     # The seed state is reported at the first sweep's angles.
     assert np.array_equal(res.thetas.theta, res.theta_history[0].theta)
     mapped = _mapped(_seed_symmetric(rectangle41, 6), res.thetas)
     assert np.array_equal(res.mapped_points, mapped)
     assert res.error == compute_error(rectangle41, mapped)
+
+
+def _largest_angle_step(res, k):
+    """The largest angle change from sweep k to sweep k + 1 of ``res`` (both counted from 0)."""
+    return float(np.max(np.abs(res.theta_history[k + 1].theta - res.theta_history[k].theta)))
+
+
+def test_a_fit_stops_once_no_angle_moves(monkeypatch, rectangle41):
+    stopped = fit_symmetric(rectangle41, FitConfig(5, 0.0))
+    # No angle step is at most -1, so the stop never fires.
+    monkeypatch.setattr(hullmap.fit, "THETA_TOL", -1.0)
+    full = fit_symmetric(rectangle41, FitConfig(5, 0.0))
+    k = stopped.iterations
+    assert stopped.stop_reason == "stalled" and not stopped.converged and not stopped.diverged
+    assert k < full.iterations == 200 and full.stop_reason == "budget"
+    assert stopped.error_history == full.error_history[:k]
+    for ours, theirs in zip(stopped.fa_history, full.fa_history[:k], strict=True):
+        assert np.array_equal(ours, theirs)
+    for ours, theirs in zip(stopped.theta_history, full.theta_history[:k], strict=True):
+        assert np.array_equal(ours.theta, theirs.theta) and ours.unresolved == theirs.unresolved
+    # The last sweep is the first whose angles moved by at most THETA_TOL.
+    assert _largest_angle_step(stopped, k - 2) <= THETA_TOL
+    assert all(_largest_angle_step(stopped, j) > THETA_TOL for j in range(k - 2))
+    assert abs(stopped.error - full.error) <= 2e-9 * full.error
+
+
+def test_a_fit_that_converges_says_so(circle41):
+    res = fit_symmetric(circle41, FitConfig(3, 1e-10))
+    assert res.stop_reason == "converged" and res.converged
+
+
+def test_a_fit_whose_error_keeps_rising_says_so():
+    res = fit_symmetric(chine_section(41), FitConfig(6, 0.0))
+    assert res.stop_reason == "rising" and not res.converged and not res.diverged
+    assert all(b > a for a, b in zip(res.error_history[-11:], res.error_history[-10:]))
 
 
 def test_constraints_hold_at_every_sweep(rectangle41):

@@ -130,8 +130,8 @@ def _stub_fits(monkeypatch, section, histories, flipped=()):
         signs = [-1.0 if (config.order, k) in flipped else 1.0 for k in range(stop)]
         fas = [np.array([sign * (1.0 + k), 0.0]) for k, sign in enumerate(signs)]
         angles = [ThetaAssignment(np.full(len(sec.points), 0.01 * k), ()) for k in range(stop)]
-        converged = errors[-1] < config.tolerance
-        return _fit_result((errors[-1], fas[-1], angles[-1]), errors, fas, angles, converged, False)
+        reason = "converged" if errors[-1] < config.tolerance else "budget"
+        return _fit_result((errors[-1], fas[-1], angles[-1]), errors, fas, angles, reason, False)
 
     monkeypatch.setattr(hullmap.search, "fit_section", fit)
     return received
