@@ -13,12 +13,14 @@ fit, and `FitResult.stop_reason` names it:
   each angle is solved, since the previous sweep, so further sweeps only
   jitter within the angle solver's resolution;
 * ``singular``: a sweep's coefficient system could not be solved;
-* ``budget``: the sweep budget ran out.
+* ``budget``: the sweep budget ran out;
+* ``orientation``: the loop ended with no reportable sweep, because every
+  solved sweep flipped the contour's orientation.
 
 The sweep that ends the fit is recorded first, except a singular one.  A fit
-with no reportable sweep (none solved, or every solved sweep flipped the
-contour's orientation) reports its seed with ``diverged`` set and keeps the
-stop reason of its loop.
+with no reportable sweep reports its seed.  Its reason is ``orientation``,
+unless a singular system ended it, which keeps ``singular``.  Either reason
+sets ``diverged``.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def _seed_asymmetric(section: SectionOffsets, order: int) -> np.ndarray:
     return 0.5 * (fa_left + fa_right)
 
 
-def _fit_result(best, history, fa_history, theta_history, stop_reason: str, diverged: bool) -> FitResult:
+def _fit_result(best, history, fa_history, theta_history, stop_reason: str) -> FitResult:
     """The state ``best`` = (error, scaled coefficients, angles), reported over the histories."""
     error, fa, thetas = best
     return FitResult(
@@ -119,7 +121,7 @@ def _fit_result(best, history, fa_history, theta_history, stop_reason: str, dive
         theta_history=theta_history,
         iterations=len(history),
         converged=stop_reason == "converged",
-        diverged=diverged,
+        diverged=stop_reason in {"singular", "orientation"},
         mapped_points=_mapped(fa, thetas),
         stop_reason=stop_reason,
     )
@@ -177,13 +179,14 @@ def _run_fit(
             break
         fa, prev = solved, thetas
 
-    diverged = reason == "singular" or best is None
     if best is None:
         # No sweep solved, or none kept a positive leading coefficient: report
         # the seed state at the first sweep's angles.
+        if reason != "singular":
+            reason = "orientation"
         thetas = theta_history[0] if theta_history else thetas
         best = (compute_error(section, _mapped(seed, thetas)), seed.copy(), thetas)
-    return _fit_result(best, history, fa_history, theta_history, reason, diverged)
+    return _fit_result(best, history, fa_history, theta_history, reason)
 
 
 def fit_symmetric(section: SectionOffsets, config: FitConfig) -> FitResult:

@@ -93,10 +93,15 @@ def _series_terms(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _boundary(terms, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The odd-harmonic series at angles of any shape: the package's one trig sum."""
+    """The odd-harmonic series at angles of any shape: the package's one trig sum.
+
+    The weights ``wx`` and ``wy`` of ``terms`` are vectors of K entries, or
+    K-row matrices whose every column is a weight vector; each sum then has
+    the shape of ``theta`` followed by one entry per column.
+    """
     odd, wx, wy = terms
-    angles = np.reshape(theta, (-1, 1)) * odd
-    shape = np.shape(theta)
+    angles = theta.reshape(-1, 1) * odd
+    shape = theta.shape + wx.shape[1:]
     return (np.sin(angles) @ wx).reshape(shape), (np.cos(angles) @ wy).reshape(shape)
 
 

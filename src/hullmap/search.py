@@ -153,5 +153,5 @@ def search_optimum(section: SectionOffsets, order_range: tuple[int, int] = (5, 1
         best_order=records[-1].order,
         best_error=records[-1].e_min,
         tolerance_trace=trace,
-        best_fit=_fit_result(state, *histories, "converged", False),
+        best_fit=_fit_result(state, *histories, "converged"),
     )

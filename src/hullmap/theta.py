@@ -12,9 +12,13 @@ bisection in lockstep.  It returns the roots, and where one was found, as
 arrays.  It reads each point from a table of rows that depend only on the
 geometry, x cos_phi, y sin_phi, cos_phi, sin_phi and the magnitudes its
 rounding bounds need (`_row_table`), built once per section.  The
-residual evaluates the boundary through `mapping._boundary`, the package's
-one evaluation of the odd-harmonic series, with the series terms built once
-per sweep.
+residual, and the values and slopes of the certificate below, evaluate the
+boundary through `mapping._boundary`, the package's one sin/cos sum of the
+odd-harmonic series, with the series terms built once per sweep.  The one
+other evaluation of the series is `_horner_residual`, the scan's complex
+Horner form: it takes one sine and one cosine per angle where the sum takes
+one per term, and the scan with the sum in its place (under a doubled doubt
+bound) made the full order searches slower.
 
 Which rows share each residual call is part of the numerical result: the
 series ends in a matrix-vector product whose rounding of a row can depend
@@ -147,23 +151,30 @@ _FREE_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _free_rows(section: SectionOffsets) -> tuple:
-    """The solved points' indices, their bracketing neighbours' indices and their `_row_table`.
+    """The solved points' and their neighbours' indices, their `_row_table` and the angle domain.
 
-    Built once per section; the arrays are read-only.
+    The tuple is (free, before, after, table, theta_min, theta_max).  The
+    domain is [0, pi/2] for a symmetric section, and otherwise [-pi/2, pi/2]
+    widened by `ASYM_DOMAIN_SLACK` at each end.  Built once per section; the
+    arrays are read-only.
     """
     rows = _FREE_ROWS.get(section)
     if rows is None:
         last = len(section.points) - 1
-        free = np.arange(1, last) if section.symmetric else np.arange(last + 1)
-        rows = (
+        if section.symmetric:
+            free, domain = np.arange(1, last), (0.0, pi / 2.0)
+        else:
+            edge = pi / 2.0 + ASYM_DOMAIN_SLACK
+            free, domain = np.arange(last + 1), (-edge, edge)
+        arrays = (
             free,
             np.maximum(free - 1, 0),
             np.minimum(free + 1, last),
             _row_table(section.points[free], _free_normals(section)),
         )
-        for array in rows:
+        for array in arrays:
             array.setflags(write=False)
-        _FREE_ROWS[section] = rows
+        rows = _FREE_ROWS[section] = (*arrays, *domain)
     return rows
 
 
@@ -227,14 +238,12 @@ def _horner_residual(values, xc, ys, cos_phi, sin_phi, theta):
 
 
 def _value_and_slope(odd, sin_weights, cos_weights, xc, ys, cos_phi, sin_phi, theta):
-    """The residual and its derivative in theta, from one set of sin/cos terms.
+    """The residual and its derivative in theta, from one `_boundary` call.
 
     ``sin_weights`` and ``cos_weights`` are the columns (wx, -wy * odd) and
     (wy, wx * odd) built from the series terms (odd, wx, wy).
     """
-    angles = theta[:, None] * odd
-    sin_part = np.sin(angles) @ sin_weights
-    cos_part = np.cos(angles) @ cos_weights
+    sin_part, cos_part = _boundary((odd, sin_weights, cos_weights), theta)
     value = ((xc - cos_phi * sin_part[:, 0]) - ys) + sin_phi * cos_part[:, 0]
     slope = sin_phi * sin_part[:, 1] - cos_phi * cos_part[:, 1]
     return value, slope
@@ -292,7 +301,8 @@ def _certified_steps(state, lo_neg, terms, count):
     stands while every such call moves exactly the ends the step moved.
     Returns ``(count, None, None)`` when it stands to the end.  Otherwise,
     at the first step ``j`` whose call disagrees, it rolls ``state``'s
-    brackets back to what that step started from and returns
+    brackets back to what that step started from, by replaying the
+    recorded moves of the steps before it from the block's start, and returns
     ``(j, mid, f_mid)``, the step's midpoints and residuals, for the caller
     to apply.
     """
@@ -322,14 +332,9 @@ def _certified_steps(state, lo_neg, terms, count):
         shrink_hi = lo_neg != (f_mid < 0.0)
         if f_mid.all() and (moves[j, 1] == shrink_hi).all() and (moves[j, 0] != shrink_hi).all():
             continue
-        # Lower ends only rise and upper ends only fall, each to a midpoint
-        # strictly inside its bracket, so step j's ends are the extreme
-        # midpoints that moved them before it.
         brackets[...] = start
-        if j:
-            moved = np.where(moves[:j], mids[:j, None], start)
-            np.maximum.reduce(moved[:, 0], axis=0, out=lo)
-            np.minimum.reduce(moved[:, 1], axis=0, out=hi)
+        for mid, move in zip(mids[:j], moves[:j]):
+            np.copyto(brackets, mid, where=move)
         return j, mids[j], f_mid
     return count, None, None
 
@@ -639,30 +644,20 @@ def assign_thetas(
     """
     if len(scaled.values) < 2:
         raise ConfigurationError("need at least one free coefficient to assign angles")
-    pts = section.points
-    count = len(pts)
-    if section.symmetric:
-        theta_min, theta_max = 0.0, pi / 2.0
-    else:
-        theta_min = -pi / 2.0 - ASYM_DOMAIN_SLACK
-        theta_max = pi / 2.0 + ASYM_DOMAIN_SLACK
-    first_sweep = previous is None
-    if first_sweep:
-        prev = _seed_angles(scaled, pts, section.symmetric)
-    else:
-        prev = previous.theta
-
-    free, before, after, table = _free_rows(section)
-    if first_sweep:
+    free, before, after, table, theta_min, theta_max = _free_rows(section)
+    if previous is None:
         # The seed angles carry no neighbour history worth trusting, so every
         # point scans the whole domain and keeps the root nearest its seed.
+        prev = _seed_angles(scaled, section.points, section.symmetric)
         lo = np.full(len(free), theta_min)
         hi = np.full(len(free), theta_max)
     else:
+        prev = previous.theta
         lo = np.maximum(prev[before] - BRACKET_SLACK, theta_min)
         hi = np.minimum(prev[after] + BRACKET_SLACK, theta_max)
     roots, found = _batch_roots(scaled, table, lo, hi, prev[free])
 
+    count = len(section.points)
     theta = np.empty(count)
     theta[free] = roots
     solved = np.ones(count, dtype=bool)

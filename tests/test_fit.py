@@ -22,6 +22,25 @@ from hullmap.shapes import bulb_section, chine_section, fine_section, heeled_rec
 from hullmap.theta import THETA_TOL, assign_thetas
 
 
+@pytest.fixture(autouse=True)
+def _check_how_each_fit_ended(monkeypatch):
+    """Checks every `FitResult` a fit here builds: ``diverged`` and ``orientation`` follow the stop reason.
+
+    ``orientation`` ends exactly the fits with no reportable sweep (none
+    with a positive F a_0) that a singular system did not end.
+    """
+    real = hullmap.fit._fit_result
+
+    def checked(*args):
+        res = real(*args)
+        assert res.diverged == (res.stop_reason in {"singular", "orientation"})
+        unreportable = not any(fa[0] > 0.0 for fa in res.fa_history)
+        assert (res.stop_reason == "orientation") == (unreportable and res.stop_reason != "singular")
+        return res
+
+    monkeypatch.setattr(hullmap.fit, "_fit_result", checked)
+
+
 def test_config_validation(circle41, tiny_asymmetric):
     with pytest.raises(ConfigurationError):
         fit_symmetric(circle41, FitConfig(order=1, tolerance=1e-6))
@@ -145,8 +164,9 @@ def test_a_fit_that_never_keeps_a_positive_anchor_reports_the_seed(monkeypatch, 
     monkeypatch.setattr(hullmap.fit, "lu_solve", lambda system: ScaledCoefficients(-real(system).values))
     res = fit_symmetric(rectangle41, FitConfig(order=6, tolerance=1e3, max_iterations=3))
     assert all(fa[0] < 0.0 for fa in res.fa_history) and res.iterations == 3
-    # The fallback keeps the stop reason of its loop.
-    assert res.diverged and not res.converged and res.stop_reason == "budget"
+    # Every solved sweep flipped the contour, so the loop's own reason
+    # (here the budget) gives way to the orientation.
+    assert res.diverged and not res.converged and res.stop_reason == "orientation"
     # The seed state is reported at the first sweep's angles.
     assert np.array_equal(res.thetas.theta, res.theta_history[0].theta)
     mapped = _mapped(_seed_symmetric(rectangle41, 6), res.thetas)

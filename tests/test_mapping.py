@@ -6,6 +6,8 @@ import pytest
 from hullmap.mapping import (
     MappingCoefficients,
     ScaledCoefficients,
+    _boundary,
+    _series_terms,
     boundary_from_scaled,
     breadth_and_draft,
     evaluate_boundary,
@@ -173,6 +175,27 @@ def test_boundary_scalar_and_array_forms_agree():
         # reorder the additions; agreement is to rounding, not bitwise.
         assert x == pytest.approx(xs[k], rel=1e-14, abs=1e-15)
         assert y == pytest.approx(ys[k], rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("shape", [(37,), (3, 64)])
+def test_weight_columns_sum_like_one_weight_vector_each(seed, shape):
+    # A K-row weight matrix gives one sum per column.  BLAS sums a matrix
+    # product in another order than a matrix-vector product, so a column
+    # agrees with its 1-D call to the rounding of a K-term sum, not bitwise.
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(2, 70))
+    odd, wx, wy = _series_terms(10.0 ** rng.uniform(-3.0, 3.0, count) * rng.standard_normal(count))
+    other = rng.standard_normal(count)
+    theta = rng.uniform(-2.0, 2.0, shape)
+    x2, y2 = _boundary((odd, np.array([wx, other]).T, np.array([wy, other]).T), theta)
+    assert x2.shape == y2.shape == shape + (2,)
+    for column, (sin_w, cos_w) in enumerate([(wx, wy), (other, other)]):
+        x, y = _boundary((odd, sin_w, cos_w), theta)
+        assert x.shape == y.shape == shape
+        bound = 2.0 * count * np.finfo(float).eps * np.abs(sin_w).sum()
+        assert np.all(np.abs(x2[..., column] - x) <= bound)
+        assert np.all(np.abs(y2[..., column] - y) <= bound)
 
 
 def _lewis_area(coeffs: MappingCoefficients) -> float:

@@ -131,7 +131,7 @@ def _stub_fits(monkeypatch, section, histories, flipped=()):
         fas = [np.array([sign * (1.0 + k), 0.0]) for k, sign in enumerate(signs)]
         angles = [ThetaAssignment(np.full(len(sec.points), 0.01 * k), ()) for k in range(stop)]
         reason = "converged" if errors[-1] < config.tolerance else "budget"
-        return _fit_result((errors[-1], fas[-1], angles[-1]), errors, fas, angles, reason, False)
+        return _fit_result((errors[-1], fas[-1], angles[-1]), errors, fas, angles, reason)
 
     monkeypatch.setattr(hullmap.search, "fit_section", fit)
     return received
