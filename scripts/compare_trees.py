@@ -1,38 +1,47 @@
-"""Check that this tree prints the same digests as a git revision of it.
+"""Compare every trajectory and every CLI file of this tree with a git revision's.
 
-Usage: python scripts/compare_trees.py [--diff] REF
+Usage: python scripts/compare_trees.py REF
 
-Exports REF's `src/` with `git archive` into a temporary directory, runs
-this tree's `scripts/trajectory_digest.py` and `scripts/cli_digest.py` once
-with REF's `src/` on PYTHONPATH and once with this tree's, and prints every
-digest line with `same` or `DIFFERS`, then the number of lines of
-`src/**/*.py` that hold code (blank lines, comments and docstrings left
-out) in REF and here, and under it the same counts for each module whose
-count changed.  Exits 1 if any digest line differs; the line counts do
-not change the exit status.  The temporary directory is removed
-afterwards.
+Exports REF's `src/` with `git archive` into a temporary directory, and
+runs this tree's `scripts/trajectory_digest.py` and `scripts/cli_digest.py`
+once with REF's `src/` on PYTHONPATH and once with this tree's.  It prints:
 
-With --diff it prints, instead of the digests, one line per trajectory
-that `scripts/trajectory_digest.py` digests, marked `same` (no number
-moved), `within` (every difference inside the contract below) or
-`OUTSIDE`.  The line gives the largest |dtheta| over its angles, the
-largest |d(F a_n)| / max(B, D) over its scaled coefficients and the
-largest |dE| / |E| over its errors, each sweep against the same sweep at
-REF, and after each the contract's bound at the sweep where the
-difference comes nearest its bound.  Then it prints the largest of each
-difference over all trajectories.  A fit that raised on either side is
-compared by its exception text.  It exits 1 if any trajectory is
-`OUTSIDE`, which includes an outcome only one side had: a trajectory, an
-exception, or a sweep or a search's accepted order below the rank cap.
-A trajectory whose sweep counts differ is `OUTSIDE` (`within` above the
-cap) without bounds; its line gives the two error counts and the largest
-|dtheta|, |d(F a_n)| / max(B, D) and |dE| / |E| over the sweeps both
-sides ran (for a search, over the leading per-order entries both have).
+* One line per trajectory that `trajectory_digest.py` records, marked
+  `same` (every array equal bit for bit), `within` (every difference
+  inside the contract below) or `OUTSIDE`.  The line gives the largest
+  |dtheta| over its angles, the largest |d(F a_n)| / max(B, D) over its
+  scaled coefficients and the largest |dE| / |E| over its errors, each
+  sweep against the same sweep at REF, and after each the contract's bound
+  at the sweep where the difference comes nearest its bound.  The contract
+  does not bound the other arrays: the unresolved pairs, the mapped
+  points, a search's records, best order and trace, and the contract's own
+  inputs.  The line's note names each of them that differs, and a
+  trajectory where only they differ is `OUTSIDE`.  A fit that raised on
+  either side is compared by its exception text.  An outcome only one
+  side had is `OUTSIDE`: a trajectory, an exception, or a sweep or a
+  search's accepted order below the rank cap.  A trajectory whose sweep
+  counts differ is `OUTSIDE` (`within` above the cap) without bounds; its
+  note gives the two error counts and the largest |dtheta|,
+  |d(F a_n)| / max(B, D) and |dE| / |E| over the sweeps both sides ran
+  (for a search, over the leading per-order entries both have).
+* The largest of each difference over all trajectories.
+* `DIFFERS cli <path>` for each file that `cli_digest.py` writes on one
+  side only or with other bytes, then `cli: k of n files differ`, n being
+  the files on either side.
+* The number of lines of `src/**/*.py` that hold code (blank lines,
+  comments and docstrings left out) in REF and here, and under it the
+  same counts for each module whose count changed.
+
+It exits 0 when every trajectory is `same` or `within` and no CLI file
+differs, and 1 otherwise; the line counts do not change the exit status.
+It exits 2 when git or a script fails on either side, after printing the
+side, the script and the end of its stderr.  The temporary directory is
+removed afterwards.
 
 The contract (ROADMAP item 2(a)).  It bounds how far two correct trees may
-differ on a digested fit at order N on p points, sweep by sweep.  It is
+differ on a recorded fit at order N on p points, sweep by sweep.  It is
 derived from the conditioning of the problem, not from any tree's
-differences, and it reads the conditioning off REF's dump
+differences, and it reads the conditioning off REF's record
 (`trajectory_digest._sweep_rows`).  Notation: s = max(B, D), u = 2**-53,
 T = `ANGLE_WIDTH` (`theta.THETA_TOL`, the width to which every angle is
 solved), c = the N + 1 scaled coefficients F a_n, m = the largest |c_n| / s
@@ -46,7 +55,7 @@ point i, whose slope at its angle is r_i'.
   p angles.  Either way a fit has isolated solutions only for N <= p - 1,
   the rank cap of ROADMAP item 1(c).  Above it the solutions form a
   family along which rounding moves a fit freely, so no per-sweep bound
-  holds, and the bounds are infinite.  Of the digested trajectories, the
+  holds, and the bounds are infinite.  Of the recorded trajectories, the
   fits of rectangle41 and bulb41 at N = 60 and the heeled_rectangle21
   floor at N = 30 lie above the cap; every other one is covered.
 * The angle step, from the same coefficients.  A correct solver returns a
@@ -85,8 +94,8 @@ point i, whose slope at its angle is r_i'.
   trajectory `OUTSIDE` under any change of rounding.
 
 The working tree's files are compared, committed or not.  Both sides run
-the digest scripts of this tree, so a script changed since REF digests REF
-the new way.
+the scripts of this tree, so a script changed since REF records REF the
+new way.
 """
 
 import argparse
@@ -102,21 +111,22 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = ("trajectory_digest.py", "cli_digest.py")
 _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
     tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER,
 }
+# The lines of a failed command's stderr that are printed.
+_TAIL = 20
 
 
-def _digests(script: str, src: Path) -> list[str]:
-    """The lines ``script`` prints with ``src`` as the only entry on PYTHONPATH."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return done.stdout.splitlines()
+def _run(what: str, command: list[str], **kwargs) -> bytes:
+    """``command``'s stdout; if it fails, print ``what`` and the end of its stderr, and exit 2."""
+    done = subprocess.run(command, capture_output=True, **kwargs)
+    if done.returncode != 0:
+        tail = done.stderr.decode(errors="replace").splitlines()[-_TAIL:]
+        print(f"{what} failed with exit code {done.returncode}:", *tail, sep="\n", file=sys.stderr)
+        raise SystemExit(2)
+    return done.stdout
 
 
 def _code_lines(src: Path) -> dict[str, int]:
@@ -139,27 +149,29 @@ def _code_lines(src: Path) -> dict[str, int]:
     return counts
 
 
-# What --diff measures per trajectory: (key in the dump, name printed).
-_MEASURES = (("theta", "dtheta"), ("fa", "dFa/scale"), ("E", "dE/E"))
+# What the contract bounds per trajectory: field of the record -> name printed.
+_MEASURES = {"theta": "dtheta", "fa": "dFa/scale", "E": "dE/E"}
 # The contract's angle width, `theta.THETA_TOL`, and the unit roundoff.
 ANGLE_WIDTH = 1e-12
 _UNIT = 2.0**-53
 
+Record = dict[str, np.ndarray]
 
-def _load(path: Path) -> dict[str, tuple[float, dict | str]]:
-    """label -> (max(B, D), arrays or exception text) from a trajectory_digest.py --dump file."""
+
+def _load(path: Path) -> dict[str, Record]:
+    """label -> field -> array, from a file that trajectory_digest.py wrote."""
+    records = {}
     with np.load(path) as data:
-        out = {}
-        for index, label in enumerate(data["labels"].tolist()):
-            scale = float(data[f"{index}.scale"])
-            if f"{index}.error" in data:
-                out[label] = (scale, str(data[f"{index}.error"]))
-                continue
-            prefix = f"{index}."
-            out[label] = (scale, {
-                key[len(prefix):]: data[key] for key in data.files if key.startswith(prefix)
-            })
-        return out
+        for key in data.files:
+            label, field = key.rsplit("/", 1)
+            records.setdefault(label, {})[field] = data[key]
+    return records
+
+
+def _equal(old: np.ndarray | None, new: np.ndarray | None) -> bool:
+    """Whether two arrays, both present, have one dtype, one shape and the same bits."""
+    return (old is not None and new is not None and old.dtype == new.dtype
+            and old.shape == new.shape and old.tobytes() == new.tobytes())
 
 
 def _gaps(old: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -170,9 +182,9 @@ def _gaps(old: np.ndarray, new: np.ndarray) -> np.ndarray:
     return np.where(same, 0.0, np.where(np.isnan(gap), np.inf, gap))
 
 
-def _bounds(data: dict, scale: float) -> dict[str, np.ndarray]:
+def _bounds(data: Record) -> dict[str, np.ndarray]:
     """The contract's bounds on |dtheta|, |d(F a_n)| / scale and |dE|, one per error of ``data``."""
-    points, errors = int(data["points"]), np.abs(data["E"])
+    points, scale, errors = int(data["points"]), float(data["scale"]), np.abs(data["E"])
     # Per fit, each sweep's bounds: angles, coefficients, and m up to it.
     sweeps = {}
     for fit in np.unique(data["rows"][:, 0]):
@@ -209,18 +221,18 @@ def _bounds(data: dict, scale: float) -> dict[str, np.ndarray]:
     return {key: np.array(values) for key, values in out.items()}
 
 
-def _row_gaps(old: dict, new: dict, key: str, scale: float) -> tuple[np.ndarray, np.ndarray]:
+def _row_gaps(old: Record, new: Record, key: str) -> tuple[np.ndarray, np.ndarray]:
     """(largest difference per row, the size it is shown over) of one measure, over the rows both sides have.
 
     A row is one sweep; a search keeps the angles and coefficients of its
-    last fit only.  Coefficients are measured over ``scale``; dE is shown
+    last fit only.  Coefficients are measured over max(B, D); dE is shown
     over |E| at REF.
     """
     width = {"theta": int(old["points"]), "fa": int(old["rows"][-1, 2]) + 1, "E": 1}[key]
     rows = min(len(old[key]), len(new[key])) // width
     gap = _gaps(old[key][:rows * width], new[key][:rows * width]).reshape(-1, width).max(axis=1, initial=0.0)
     size = np.abs(old["E"][:rows]) if key == "E" else 1.0
-    return (gap / scale if key == "fa" else gap), size
+    return (gap / float(old["scale"]) if key == "fa" else gap), size
 
 
 def _shown(gap: np.ndarray, size) -> np.ndarray:
@@ -228,22 +240,34 @@ def _shown(gap: np.ndarray, size) -> np.ndarray:
         return np.where(gap == 0.0, 0.0, gap / size)
 
 
-def _judge(old: dict, new: dict, scale: float) -> tuple[str, dict, str]:
-    """(mark, name -> (largest difference, its bound where nearest), note) of one trajectory."""
+def _judge(old: Record | None, new: Record | None) -> tuple[str, dict, str]:
+    """(mark, name -> (largest difference, its bound where nearest), note) of one trajectory.
+
+    ``old`` is its record at REF and ``new`` its record here, None on a
+    side that has no such trajectory.
+    """
+    if old is None or new is None:
+        return "OUTSIDE", {}, "only " + ("here" if old is None else "at REF")
+    differ = [key for key in dict.fromkeys([*old, *new]) if not _equal(old.get(key), new.get(key))]
+    if "raised" in old or "raised" in new:
+        said = [f"raised {side['raised']}" if "raised" in side else "ran" for side in (old, new)]
+        return ("OUTSIDE", {}, f"{said[0]} at REF, {said[1]} here") if differ else ("same", {}, said[1])
     points = int(old["points"])
     above = (old["rows"][:, 2] > points - 1).any()
-    note = f"N above the rank cap {points - 1}: not bounded" if above else ""
-    measures = [(key, name) for key, name in _MEASURES if key in old]
+    notes = [f"N above the rank cap {points - 1}: not bounded"] if above else []
+    measures = [(key, name) for key, name in _MEASURES.items() if key in old]
+    unbounded = [key for key in differ if key not in _MEASURES]
+    if unbounded:
+        notes.append("unbounded arrays that differ: " + ", ".join(unbounded))
     if any(old[key].shape != new[key].shape for key, _ in measures):
-        counts = f"{len(old['E'])} errors at REF, {len(new['E'])} here"
-        largest = (f"{name} {_shown(*_row_gaps(old, new, key, scale)).max(initial=0.0):.3g}"
-                   for key, name in measures)
-        common = "common sweeps: " + " ".join(largest)
-        return ("within" if above else "OUTSIDE"), {}, "; ".join(filter(None, (note, counts, common)))
-    bounds = _bounds(old, scale)
+        notes.append(f"{len(old['E'])} errors at REF, {len(new['E'])} here")
+        largest = (f"{name} {_shown(*_row_gaps(old, new, key)).max(initial=0.0):.3g}" for key, name in measures)
+        notes.append("common sweeps: " + " ".join(largest))
+        return ("within" if above else "OUTSIDE"), {}, "; ".join(notes)
+    bounds = _bounds(old)
     found, inside = {}, True
     for key, name in measures:
-        gap, size = _row_gaps(old, new, key, scale)
+        gap, size = _row_gaps(old, new, key)
         bound = bounds[key][len(bounds[key]) - len(gap):]
         inside &= bool((gap <= bound).all())
         # dE is judged whole.
@@ -251,39 +275,19 @@ def _judge(old: dict, new: dict, scale: float) -> tuple[str, dict, str]:
             nearest = int(np.argmax(np.nan_to_num(gap / bound)))
             limit = np.broadcast_to(bound / size, bound.shape)
         found[name] = (float(_shown(gap, size).max()), float(limit[nearest]))
-    moved = any(largest for largest, _ in found.values())
-    return ("within" if inside else "OUTSIDE") if moved else "same", found, note
+    if any(key in differ for key, _ in measures):
+        mark = "within" if inside else "OUTSIDE"
+    else:
+        mark = "OUTSIDE" if unbounded else "same"
+    return mark, found, "; ".join(notes)
 
 
-def _diff(ref: str, tmp: str) -> bool:
-    """Print how far each digested trajectory moved from REF; True if any is outside the contract."""
-    dumps = []
-    for side, src in (("ref", Path(tmp) / "src"), ("here", ROOT / "src")):
-        dump = Path(tmp) / f"{side}.npz"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "trajectory_digest.py"), "--dump", str(dump)],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        dumps.append(_load(dump))
-    theirs, ours = dumps
+def _compare_trajectories(theirs: dict[str, Record], ours: dict[str, Record], ref: str) -> bool:
+    """Print one line per trajectory and the largest differences; True if any line is not `same` or `within`."""
     outside = False
-    worst = dict.fromkeys((name for _, name in _MEASURES), 0.0)
+    worst = dict.fromkeys(_MEASURES.values(), 0.0)
     for label in dict.fromkeys([*theirs, *ours]):
-        if label not in theirs or label not in ours:
-            outside = True
-            print(f"OUTSIDE {label}: only {'here' if label in ours else 'at ' + ref}")
-            continue
-        (scale, old), (_, new) = theirs[label], ours[label]
-        if isinstance(old, str) or isinstance(new, str):
-            if old == new:
-                print(f"same    {label}: raised {new}")
-            else:
-                outside = True
-                said = ["raised " + side if isinstance(side, str) else "ran" for side in (old, new)]
-                print(f"OUTSIDE {label}: {said[0]} at {ref}, {said[1]} here")
-            continue
-        mark, found, note = _judge(old, new, scale)
+        mark, found, note = _judge(theirs.get(label), ours.get(label))
         outside |= mark == "OUTSIDE"
         for name, (largest, _) in found.items():
             worst[name] = max(worst[name], largest)
@@ -294,43 +298,41 @@ def _diff(ref: str, tmp: str) -> bool:
     return outside
 
 
+def _cli_differences(theirs: Path, ours: Path) -> tuple[list[str], int]:
+    """(the files under one directory that differ from the other's or exist on one side only, the files on either side)."""
+    names = [{path.relative_to(root).as_posix() for path in root.rglob("*") if path.is_file()}
+             for root in (theirs, ours)]
+    every = sorted(names[0] | names[1])
+    differ = [name for name in every if name not in names[0] or name not in names[1]
+              or (theirs / name).read_bytes() != (ours / name).read_bytes()]
+    return differ, len(every)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="the git revision to compare against, such as HEAD~1")
-    parser.add_argument("--diff", action="store_true",
-                        help="judge each trajectory's differences by the contract instead of "
-                             "printing the digests")
-    args = parser.parse_args()
-    differs = False
-    with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(
-            ["git", "archive", "--format=tar", args.ref, "src"],
-            cwd=ROOT, capture_output=True, check=True,
-        ).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        if args.diff:
-            return 1 if _diff(args.ref, tmp) else 0
-        for script in SCRIPTS:
-            theirs = _digests(script, Path(tmp) / "src")
-            ours = _digests(script, ROOT / "src")
-            if len(theirs) != len(ours):
-                differs = True
-                print(f"DIFFERS {script}: {len(theirs)} lines at {args.ref}, {len(ours)} here")
-                continue
-            for number, (old, new) in enumerate(zip(theirs, ours), start=1):
-                if old == new:
-                    print(f"same    {script}:{number} {new}")
-                else:
-                    differs = True
-                    print(f"DIFFERS {script}:{number} {args.ref} {old} here {new}")
-        theirs, ours = _code_lines(Path(tmp) / "src"), _code_lines(ROOT / "src")
+    ref = parser.parse_args().ref
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        archive = _run(f"git archive {ref}", ["git", "archive", "--format=tar", ref, "src"], cwd=ROOT)
+        _run("tar", ["tar", "-x", "-C", name], input=archive)
+        for side, src, where in (("ref", tmp / "src", f"at {ref}"), ("here", ROOT / "src", "here")):
+            env = {**os.environ, "PYTHONPATH": str(src)}
+            for script, out in (("trajectory_digest.py", f"{side}.npz"), ("cli_digest.py", f"{side}_cli")):
+                _run(f"{script} {where}", [sys.executable, str(ROOT / "scripts" / script), str(tmp / out)], env=env)
+        outside = _compare_trajectories(_load(tmp / "ref.npz"), _load(tmp / "here.npz"), ref)
+        differ, total = _cli_differences(tmp / "ref_cli", tmp / "here_cli")
+        for path in differ:
+            print(f"DIFFERS cli {path}")
+        print(f"cli: {len(differ)} of {total} files differ")
+        theirs, ours = _code_lines(tmp / "src"), _code_lines(ROOT / "src")
     total = sum(theirs.values()), sum(ours.values())
-    print(f"src code lines: {args.ref} {total[0]} here {total[1]} ({total[1] - total[0]:+d})")
+    print(f"src code lines: {ref} {total[0]} here {total[1]} ({total[1] - total[0]:+d})")
     for module in sorted({*theirs, *ours}):
         old, new = theirs.get(module, 0), ours.get(module, 0)
         if old != new:
-            print(f"  {module}: {args.ref} {old} here {new} ({new - old:+d})")
-    return 1 if differs else 0
+            print(f"  {module}: {ref} {old} here {new} ({new - old:+d})")
+    return 1 if outside or differ else 0
 
 
 if __name__ == "__main__":

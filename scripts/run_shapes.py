@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from hullmap.fit import FitConfig, fit_section
-from hullmap.report import AccuracyReport, build_report, nash_sutcliffe, write_report
+from hullmap.report import build_report, nash_sutcliffe, write_report
 from hullmap.search import search_optimum
 from hullmap.shapes import (
     bulb_section,
@@ -44,7 +44,7 @@ def run_search(name, section, order_cap, out_dir):
         f"{len(outcome.per_order)} accepted orders"
     )
     if out_dir is not None:
-        report = build_report(best, AccuracyReport(ex, ey, elapsed), name, section.symmetric, outcome)
+        report = build_report(best, ex, ey, elapsed, name, section.symmetric, outcome)
         write_report(out_dir / f"{name}_search.json", report)
 
 
@@ -60,9 +60,7 @@ def run_heeled(out_dir):
         )
         if out_dir is not None:
             ex, ey = nash_sutcliffe(section.points, result.mapped_points)
-            report = build_report(
-                result, AccuracyReport(ex, ey, elapsed), "heeled_rectangle", False
-            )
+            report = build_report(result, ex, ey, elapsed, "heeled_rectangle", False)
             write_report(out_dir / f"heeled_rectangle_n{order}_fit.json", report)
 
 

@@ -1,45 +1,45 @@
-"""Print three SHA-256 digests: the trajectories of fixed fits, the gallery searches, the order floors.
+"""Write the trajectories of fixed fits, the gallery searches and the order floors to one .npz file.
 
-Usage: PYTHONPATH=src python scripts/trajectory_digest.py [--verbose] [--dump FILE.npz]
+Usage: PYTHONPATH=src python scripts/trajectory_digest.py FILE.npz
 
-The first line covers fits of the four gallery shapes (rectangle, bulb,
-fine, chine; 41 points each), circle41 and heeled_rectangle(21, 15 deg),
-each at N = 5, 8 and 12, plus rectangle41 and bulb41 at N = 30 and 60 (the
-angle solver's rounding bounds grow with N), all to tolerance
-1e-8 * scale^2.  It covers the raw bytes of every fit's error_history,
-fa_history, each sweep's angles and unresolved set, and mapped_points.  A
-fit that raises contributes its exception type and message instead.
+The fits are those of the four gallery shapes (rectangle, bulb, fine,
+chine; 41 points each), circle41 and heeled_rectangle(21, 15 deg), each at
+N = 5, 8 and 12, plus rectangle41 and bulb41 at N = 30 and 60 (the angle
+solver's rounding bounds grow with N), all to tolerance 1e-8 * scale^2.
+Each fit's record holds every sweep's angles ("theta"), scaled
+coefficients ("fa") and error ("E"), each sweep's unresolved angle indices
+as (sweep, index) pairs ("unresolved") and the mapped points ("mapped").
 
-The second line covers `search_optimum(section, (5, 7))` of the four
-gallery shapes, the searches of perfbench's search-gallery workload: each
-report's per_order records without their seconds, tolerance_trace, best
-order and error, and the bytes of best_fit's last coefficient vector,
-angles and mapped points.
+The searches are `search_optimum(section, (5, 7))` of the four gallery
+shapes, the searches of perfbench's search-gallery workload.  Each one's
+record holds the per-order floors followed by the best error ("E"), the
+(order, iterations) of each accepted order ("records"), the best order
+("best"), the tolerance trace ("trace"), and best_fit's angles, last
+coefficient vector and mapped points.
 
-The third line covers the `min_error_for_order` floors that the acceptance
-tests compute: rectangle41 at N = 5, 6 and 12 to tolerance 10, and
-heeled_rectangle(21, 15 deg) at N = 12 and 30 to tolerance 0.2, as the
-bytes of each floor error.
+The floors are the `min_error_for_order` floors that the acceptance tests
+compute: rectangle41 at N = 5, 6 and 12 to tolerance 10, and
+heeled_rectangle(21, 15 deg) at N = 12 and 30 to tolerance 0.2; each
+record's "E" is the floor.
 
-hullmap is imported from whatever tree is on PYTHONPATH, so running the
-script against two checkouts shows whether a change keeps every trajectory
-bit-identical.  `--dump` also writes each digested trajectory's angles,
-scaled coefficients and errors (or the exception a fit raised) to an .npz
-file, with its point count, the sweep each error was read off, and what
-the contract of `scripts/compare_trees.py` reads of every sweep of those
-fits (`_sweep_rows`).  `scripts/compare_trees.py --diff` reads the file to
-say by how much two trees differ, and whether within that contract.  The
-digest depends on the numpy and BLAS build, so compare two trees on one
-machine; it is not a value to pin in a test.
+Every record also holds max(B, D) ("scale"), the point count ("points"),
+and what the contract of `scripts/compare_trees.py` reads of the fits the
+errors were read off: every sweep's `_sweep_rows` ("rows"), and each
+error's sweep as (fit, sweep number) ("entries").  A fit, search or floor
+that raises records its exception type and message ("raised") instead.
+Arrays are stored under "<label>/<field>", one label per trajectory.
+
+hullmap is imported from whatever tree is on PYTHONPATH, so
+`scripts/compare_trees.py` runs the script against two checkouts and
+compares the files.  The numbers depend on the numpy and BLAS build, so
+compare two trees on one machine; they are not values to pin in a test.
 """
 
 import argparse
 import contextlib
-import hashlib
 
 import numpy as np
 
-import hullmap
 import hullmap.search
 from hullmap.errors import HullmapError
 from hullmap.fit import FitConfig, _seed_asymmetric, _seed_symmetric, fit_section
@@ -70,18 +70,12 @@ SEARCH_ORDERS = (5, 7)
 FLOORS = {"rectangle41": ((5, 6, 12), 10.0), "heeled_rectangle21": ((12, 30), 0.2)}
 
 
-# A digested trajectory as numbers: "theta" (angles), "fa" (scaled
-# coefficients) and "E" (errors), each flattened in sweep order; a search's
-# E holds its per-order floors, then its best error, and its theta and fa
-# are those of the last.  "points" is the point count, "rows" holds the
-# `_sweep_rows` of every fit the errors were read off, and "entries" names
-# each error's sweep as (fit, sweep number).
-Trajectory = dict[str, np.ndarray]
+# One trajectory's fields, as the module docstring names them.
+Record = dict[str, np.ndarray]
 
 
-def _raised(exc: HullmapError) -> tuple[bytes, str]:
-    message = f"{type(exc).__name__}: {exc}"
-    return message.encode(), message
+def _raised(exc: HullmapError) -> Record:
+    return {"raised": np.array(f"{type(exc).__name__}: {exc}")}
 
 
 def _sweep_rows(section, result, fit: int) -> np.ndarray:
@@ -141,118 +135,81 @@ def _fits_made():
         hullmap.search.fit_section = real
 
 
-def _fit_bytes(section, order: int) -> tuple[bytes, Trajectory | str]:
+def _fit_record(section, order: int) -> Record:
     scale = max(section.breadth, section.draft)
     try:
         result = fit_section(section, FitConfig(order, 1e-8 * scale * scale))
     except HullmapError as exc:
         return _raised(exc)
-    parts = [np.asarray(result.error_history, dtype=float).tobytes()]
-    parts.extend(np.asarray(fa, dtype=float).tobytes() for fa in result.fa_history)
-    for sweep in result.theta_history:
-        parts.append(sweep.theta.tobytes())
-        parts.append(np.array(sorted(sweep.unresolved), dtype=np.int64).tobytes())
-    parts.append(np.asarray(result.mapped_points, dtype=float).tobytes())
-    numbers = {
+    unresolved = [(k, i) for k, sweep in enumerate(result.theta_history, 1) for i in sorted(sweep.unresolved)]
+    return {
         "theta": np.concatenate([sweep.theta for sweep in result.theta_history]),
         "fa": np.concatenate([np.asarray(fa, dtype=float) for fa in result.fa_history]),
         "E": np.asarray(result.error_history, dtype=float),
-        "points": np.array(len(section.points)),
+        "unresolved": np.array(unresolved, dtype=np.int64).reshape(-1, 2),
+        "mapped": np.asarray(result.mapped_points, dtype=float),
         "rows": _sweep_rows(section, result, 0),
         "entries": np.array([(0, k) for k in range(1, result.iterations + 1)]).reshape(-1, 2),
     }
-    return b"".join(parts), numbers
 
 
-def _search_bytes(section) -> tuple[bytes, Trajectory | str]:
+def _search_record(section) -> Record:
     try:
         with _fits_made() as fits:
             report = search_optimum(section, SEARCH_ORDERS)
     except HullmapError as exc:
         return _raised(exc)
-    records = [(r.order, r.e_min, r.iterations) for r in report.per_order]
     fit = report.best_fit
-    parts = [
-        np.array(records, dtype=float).tobytes(),
-        np.array(report.tolerance_trace, dtype=float).tobytes(),
-        np.array([report.best_order, report.best_error], dtype=float).tobytes(),
-        np.asarray(fit.fa_history[-1], dtype=float).tobytes(),
-        fit.thetas.theta.tobytes(),
-        np.asarray(fit.mapped_points, dtype=float).tobytes(),
-    ]
-    numbers = {
+    return {
         "theta": fit.thetas.theta,
         "fa": np.asarray(fit.fa_history[-1], dtype=float),
         "E": np.array([r.e_min for r in report.per_order] + [report.best_error]),
-        "points": np.array(len(section.points)),
+        "records": np.array([(r.order, r.iterations) for r in report.per_order]),
+        "best": np.array(report.best_order),
+        "trace": np.array(report.tolerance_trace, dtype=float),
+        "mapped": np.asarray(fit.mapped_points, dtype=float),
         "rows": np.vstack([_sweep_rows(section, fits[r.order], r.order) for r in report.per_order]),
         "entries": np.array(
             [_floor_entry(r.order, fits[r.order], r.e_min) for r in report.per_order]
             + [_floor_entry(report.best_order, fits[report.best_order], report.best_error)]
         ),
     }
-    return b"".join(parts), numbers
 
 
-def _floor_bytes(section, order: int, tolerance: float) -> tuple[bytes, Trajectory | str]:
+def _floor_record(section, order: int, tolerance: float) -> Record:
     try:
         with _fits_made() as fits:
             floor = min_error_for_order(section, order, FitConfig(order, tolerance))
     except HullmapError as exc:
         return _raised(exc)
-    numbers = {
+    return {
         "E": np.array([floor], dtype=float),
-        "points": np.array(len(section.points)),
         "rows": _sweep_rows(section, fits[order], 0),
         "entries": np.array([_floor_entry(0, fits[order], floor)]),
     }
-    return np.array([floor], dtype=float).tobytes(), numbers
-
-
-def _save(path: str, trajectories: dict[str, tuple[float, Trajectory | str]]) -> None:
-    """Write every trajectory's numbers, or its exception text, to one .npz file."""
-    arrays = {"labels": np.array(list(trajectories))}
-    for index, (scale, numbers) in enumerate(trajectories.values()):
-        arrays[f"{index}.scale"] = np.array(scale)
-        if isinstance(numbers, str):
-            arrays[f"{index}.error"] = np.array(numbers)
-        else:
-            arrays.update({f"{index}.{key}": value for key, value in numbers.items()})
-    np.savez(path, **arrays)
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--verbose", action="store_true", help="also print one digest per fit, search and floor")
-    parser.add_argument("--dump", metavar="FILE.npz", help="also write every trajectory's numbers to FILE.npz")
+    parser.add_argument("out", metavar="FILE.npz", help="the file to write")
     args = parser.parse_args()
-    fits, searches, floors = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
-    trajectories = {}
-
-    def record(total, label: str, scale: float, blob: bytes, numbers) -> None:
-        total.update(blob)
-        trajectories[label] = (scale, numbers)
-        if args.verbose:
-            print(f"{label}: {hashlib.sha256(blob).hexdigest()}")
-
+    arrays = {}
     for name, build in SECTIONS.items():
         section = build()
-        scale = max(section.breadth, section.draft)
-        for order in ORDERS + HIGH_ORDERS.get(name, ()):
-            record(fits, f"{name} N={order}", scale, *_fit_bytes(section, order))
+        shared = {
+            "scale": np.array(max(section.breadth, section.draft)),
+            "points": np.array(len(section.points)),
+        }
+        records = {f"{name} N={order}": _fit_record(section, order)
+                   for order in ORDERS + HIGH_ORDERS.get(name, ())}
         if name in GALLERY:
-            record(searches, f"{name} search {SEARCH_ORDERS}", scale, *_search_bytes(section))
+            records[f"{name} search {SEARCH_ORDERS}"] = _search_record(section)
         orders, tolerance = FLOORS.get(name, ((), 0.0))
         for order in orders:
-            label = f"{name} floor N={order} tol={tolerance}"
-            record(floors, label, scale, *_floor_bytes(section, order, tolerance))
-    if args.dump:
-        _save(args.dump, trajectories)
-    if args.verbose:
-        print(f"hullmap from {hullmap.__file__}")
-    print(fits.hexdigest())
-    print(searches.hexdigest())
-    print(floors.hexdigest())
+            records[f"{name} floor N={order} tol={tolerance}"] = _floor_record(section, order, tolerance)
+        for label, record in records.items():
+            arrays.update({f"{label}/{key}": value for key, value in {**shared, **record}.items()})
+    np.savez(args.out, **arrays)
 
 
 if __name__ == "__main__":

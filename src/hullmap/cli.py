@@ -27,7 +27,7 @@ import numpy as np
 from .errors import HullmapError, OffsetsParseError, SectionValidationError
 from .fit import FitConfig, fit_section
 from .mapping import MappingCoefficients, breadth_and_draft, evaluate_boundary, lewis_initial_guess
-from .report import _CHUNK, AccuracyReport, build_report, nash_sutcliffe, write_report
+from .report import _CHUNK, build_report, nash_sutcliffe, write_report
 from .search import search_optimum
 from .section import full_area, load_offsets, read_text
 
@@ -361,8 +361,8 @@ def _run(args: argparse.Namespace) -> int:
         best = outcome.best_fit
 
     ex, ey = nash_sutcliffe(section.points, best.mapped_points)
-    accuracy = AccuracyReport(ex, ey, 0.0 if args.no_timing else elapsed)
-    report = build_report(best, accuracy, stem, section.symmetric, search=outcome)
+    wall = 0.0 if args.no_timing else elapsed
+    report = build_report(best, ex, ey, wall, stem, section.symmetric, search=outcome)
     if outcome is None:
         state = "converged" if best.converged else "stopped"
         summary = f"fit {state}: N={args.n} E={best.error:.6g} after {best.iterations} sweeps"

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,16 +37,11 @@ def nash_sutcliffe(real_points, mapped_points) -> tuple[float | None, float | No
     return out[0], out[1]
 
 
-@dataclass(frozen=True)
-class AccuracyReport:
-    ex: float | None
-    ey: float | None
-    wall_time_seconds: float
-
-
 def build_report(
     fit: FitResult,
-    accuracy: AccuracyReport,
+    ex: float | None,
+    ey: float | None,
+    wall_time_seconds: float,
     section_id: str,
     symmetric: bool,
     search: SearchReport | None = None,
@@ -71,8 +65,8 @@ def build_report(
         "N_best": int(best_order),
         "E_best": float(best_error),
         "log10_E_min": math.log10(best_error) if best_error > 0.0 else None,
-        "wall_time_seconds": float(accuracy.wall_time_seconds),
-        "nash_sutcliffe": {"ex": accuracy.ex, "ey": accuracy.ey},
+        "wall_time_seconds": float(wall_time_seconds),
+        "nash_sutcliffe": {"ex": ex, "ey": ey},
         "coefficients": {
             "F": float(fit.coefficients.scale),
             "a": fit.coefficients.a,

@@ -12,7 +12,6 @@ from hullmap.errors import DimensionMismatchError
 from hullmap.fit import FitConfig, fit_symmetric
 from hullmap.report import (
     _CHUNK,
-    AccuracyReport,
     build_report,
     nash_sutcliffe,
     report_pieces,
@@ -58,7 +57,7 @@ def test_report_schema_for_a_plain_fit():
     sec = ellipse_section(41, breadth=4.0, draft=1.0)
     fit = _fit(sec)
     ex, ey = nash_sutcliffe(sec.points, fit.mapped_points)
-    report = build_report(fit, AccuracyReport(ex, ey, 0.25), "ellipse", True)
+    report = build_report(fit, ex, ey, 0.25, "ellipse", True)
     assert report["section_id"] == "ellipse"
     assert report["symmetric"] is True
     assert report["N_best"] == 2
@@ -83,7 +82,7 @@ def test_report_includes_search_trace():
     outcome = search_optimum(sec)
     fit = outcome.best_fit
     ex, ey = nash_sutcliffe(sec.points, fit.mapped_points)
-    report = build_report(fit, AccuracyReport(ex, ey, 1.0), "ellipse", True, search=outcome)
+    report = build_report(fit, ex, ey, 1.0, "ellipse", True, search=outcome)
     assert report["N_best"] == outcome.best_order
     assert report["E_best"] == outcome.best_error
     rows = report["per_N"]
